@@ -6,12 +6,15 @@
 package repro
 
 import (
+	"encoding/json"
+	"io"
 	"testing"
 
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/liberty"
+	"repro/internal/report"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -226,4 +229,40 @@ func BenchmarkAnalyzeFabric(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWriteJSON measures the sign-off JSON export of a 10k-net
+// capacity rung: the streaming writer against encoding/json's indented
+// encoding of the same schema, which is its byte-for-byte reference.
+func BenchmarkWriteJSON(b *testing.B) {
+	g, err := workload.Scale(workload.ScaleSpec{Nets: 10000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd, err := g.Bind(liberty.Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Analyze(bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := report.WriteJSON(io.Discard, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc := json.NewEncoder(io.Discard)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(report.BuildJSON(res)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

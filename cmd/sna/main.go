@@ -234,15 +234,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	report.Violations(stdout, res)
 	report.Degradations(stdout, res.Diags)
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.WriteJSON(f, res); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeReport(*jsonOut, res); err != nil {
 			return fail(err)
 		}
 	}
@@ -323,6 +315,29 @@ func runDelay(ctx context.Context, stdout io.Writer, b *bind.Design, res *core.R
 	}
 	t.Render(stdout)
 	return nil
+}
+
+// writeReport writes the JSON report to path. When the write or the close
+// fails it removes the file, so a failed run leaves no truncated report
+// behind; a path that is not a regular file, such as /dev/stdout, stays.
+func writeReport(path string, res *core.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = report.WriteJSON(f, res)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		return nil
+	}
+	if fi, serr := os.Lstat(path); serr == nil && fi.Mode().IsRegular() {
+		if rerr := os.Remove(path); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+	}
+	return err
 }
 
 // lintConfig builds the lint configuration from the CLI flags, validating

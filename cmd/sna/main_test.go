@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/spef"
 	"repro/internal/sta"
@@ -283,5 +287,33 @@ func TestInterruptSignalCancelsAnalysis(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not return after SIGINT")
+	}
+}
+
+// TestWriteReportRemovesFileOnFailure: a report that cannot be written
+// must not leave a file behind, neither an empty one nor a stale report
+// from an earlier run at the same path.
+func TestWriteReportRemovesFileOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	if err := os.WriteFile(path, []byte(`{"mode": "stale"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A NaN peak is a value JSON cannot carry, so the write fails.
+	res := &core.Result{Nets: map[string]*core.NetNoise{
+		"b0": {Net: "b0", Comb: [2]core.Combined{{Peak: math.NaN()}, {}}},
+	}}
+	if err := writeReport(path, res); err == nil {
+		t.Fatal("writeReport succeeded on a NaN peak")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("report file left behind after a failed write (stat err = %v)", err)
+	}
+	// A good result still writes.
+	res.Nets["b0"].Comb[0].Peak = 0
+	if err := writeReport(path, res); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), `"b0"`) {
+		t.Fatalf("report = %q, %v", data, err)
 	}
 }

@@ -1,10 +1,11 @@
 package report
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/interval"
@@ -15,13 +16,23 @@ import (
 // tracking) and for the snad analysis service's responses. Quantities are
 // base SI units; absent windows are null.
 //
-// NaN discipline: encoding/json refuses NaN and ±Inf outright (the whole
-// marshal fails), so every field that can carry the engine's NaN sentinel
-// — Combined.At and Violation.At for quiet nets, DelayImpact.At from
-// interval.Combination's `At: math.NaN()` sentinel — is a *float64 that
-// encodes as null, and every window bound that can be infinite encodes as
-// a null endpoint. The regression tests in json_test.go pin both. The
-// remaining producers of the NaN sentinel (interval.MaxOverlapSum and
+// WriteJSON and WriteDelayJSON stream the report (jsonwrite.go): nets are
+// converted and encoded one at a time, in sorted-name order, so a
+// sign-off report never exists whole in memory. Their bytes are exactly
+// what encoding/json's Encoder with SetIndent("", "  ") produces for
+// BuildJSON/BuildDelayJSON; encoding/json serves only as that reference,
+// in the tests, and as the decoder behind ReadJSON.
+//
+// NaN discipline: JSON has no NaN or ±Inf, so every field that can carry
+// the engine's NaN sentinel — Combined.At and Violation.At for quiet
+// nets, DelayImpact.At from interval.Combination's `At: math.NaN()`
+// sentinel — is a *float64 that encodes as null, and every window bound
+// that can be infinite encodes as a null endpoint. A non-finite value in
+// any other field is an error, and the writer enforces it: a pre-scan
+// rejects the report before its first byte, with an error wrapping
+// *json.UnsupportedValueError, as encoding/json does. The regression
+// tests in json_test.go and jsonwrite_test.go pin both. The remaining
+// producers of the NaN sentinel (interval.MaxOverlapSum and
 // MaxOverlapSumConstrained) are guarded at their call sites: core's delay
 // pass drops combinations with a NaN instant before they become impacts.
 // The schema types are exported so clients can decode responses and so
@@ -39,16 +50,18 @@ func jsonWin(w interval.Window) *WindowJSON {
 	if w.IsEmpty() {
 		return nil
 	}
-	out := &WindowJSON{}
+	// One allocation holds the window and both of its ends.
+	box := &struct {
+		win    WindowJSON
+		lo, hi float64
+	}{lo: w.Lo, hi: w.Hi}
 	if !math.IsInf(w.Lo, -1) {
-		lo := w.Lo
-		out.Lo = &lo
+		box.win.Lo = &box.lo
 	}
 	if !math.IsInf(w.Hi, 1) {
-		hi := w.Hi
-		out.Hi = &hi
+		box.win.Hi = &box.hi
 	}
-	return out
+	return &box.win
 }
 
 // jsonSet renders each disjoint window of a set.
@@ -175,16 +188,82 @@ func jsonEvents(events []core.Event) []EventJSON {
 	return out
 }
 
+func jsonDiag(d core.Diag) DegradationJSON {
+	jd := DegradationJSON{Net: d.Net, Stage: d.Stage, Degraded: d.Degraded}
+	if d.Err != nil {
+		jd.Error = d.Err.Error()
+	}
+	return jd
+}
+
 func jsonDiags(diags []core.Diag) []DegradationJSON {
 	var out []DegradationJSON
 	for _, d := range diags {
-		jd := DegradationJSON{Net: d.Net, Stage: d.Stage, Degraded: d.Degraded}
-		if d.Err != nil {
-			jd.Error = d.Err.Error()
-		}
-		out = append(out, jd)
+		out = append(out, jsonDiag(d))
 	}
 	return out
+}
+
+func jsonViolation(v core.Violation) ViolationJSON {
+	return ViolationJSON{
+		Net:      v.Net,
+		Receiver: v.Receiver,
+		State:    v.Kind.String(),
+		Peak:     v.Peak,
+		Limit:    v.Limit,
+		Slack:    v.Slack,
+		At:       finite(v.At),
+		Members:  v.Members,
+	}
+}
+
+// hasEvents is the rule behind NetJSON's event lists: only nets with any
+// noise carry them.
+func hasEvents(nn *core.NetNoise) bool { return nn.WorstPeak() > 0 }
+
+func jsonNet(name string, nn *core.NetNoise) NetJSON {
+	jn := NetJSON{
+		Net:  name,
+		Low:  jsonComb(nn.Comb[core.KindLow]),
+		High: jsonComb(nn.Comb[core.KindHigh]),
+	}
+	if hasEvents(nn) {
+		jn.LowEvents = jsonEvents(nn.Events[core.KindLow])
+		jn.HighEvents = jsonEvents(nn.Events[core.KindHigh])
+	}
+	return jn
+}
+
+func jsonImpact(im core.DelayImpact) DelayImpactJSON {
+	edge := "fall"
+	if im.Rise {
+		edge = "rise"
+	}
+	return DelayImpactJSON{
+		Net:          im.Net,
+		Edge:         edge,
+		VictimWindow: jsonSet(im.VictimWindow),
+		NoisePeak:    im.NoisePeak,
+		Delta:        im.Delta,
+		At:           finite(im.At),
+		Members:      im.Members,
+	}
+}
+
+// namedNet is one entry of a result's net map.
+type namedNet struct {
+	name string
+	nn   *core.NetNoise
+}
+
+// sortedNets returns the result's nets in the export's order, by name.
+func sortedNets(res *core.Result) []namedNet {
+	nets := make([]namedNet, 0, len(res.Nets))
+	for name, nn := range res.Nets {
+		nets = append(nets, namedNet{name, nn})
+	}
+	slices.SortFunc(nets, func(a, b namedNet) int { return cmp.Compare(a.name, b.name) })
+	return nets
 }
 
 // BuildJSON converts a result into the export schema. Nets are sorted by
@@ -196,34 +275,10 @@ func BuildJSON(res *core.Result) *ResultJSON {
 		Degradations: jsonDiags(res.Diags),
 	}
 	for _, v := range res.Violations {
-		out.Violations = append(out.Violations, ViolationJSON{
-			Net:      v.Net,
-			Receiver: v.Receiver,
-			State:    v.Kind.String(),
-			Peak:     v.Peak,
-			Limit:    v.Limit,
-			Slack:    v.Slack,
-			At:       finite(v.At),
-			Members:  v.Members,
-		})
+		out.Violations = append(out.Violations, jsonViolation(v))
 	}
-	names := make([]string, 0, len(res.Nets))
-	for n := range res.Nets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		nn := res.Nets[name]
-		jn := NetJSON{
-			Net:  name,
-			Low:  jsonComb(nn.Comb[core.KindLow]),
-			High: jsonComb(nn.Comb[core.KindHigh]),
-		}
-		if nn.WorstPeak() > 0 {
-			jn.LowEvents = jsonEvents(nn.Events[core.KindLow])
-			jn.HighEvents = jsonEvents(nn.Events[core.KindHigh])
-		}
-		out.Nets = append(out.Nets, jn)
+	for _, n := range sortedNets(res) {
+		out.Nets = append(out.Nets, jsonNet(n.name, n.nn))
 	}
 	return out
 }
@@ -235,31 +290,9 @@ func BuildDelayJSON(res *core.DelayResult) *DelayResultJSON {
 		Degradations: jsonDiags(res.Diags),
 	}
 	for _, im := range res.Impacts {
-		edge := "fall"
-		if im.Rise {
-			edge = "rise"
-		}
-		out.Impacts = append(out.Impacts, DelayImpactJSON{
-			Net:          im.Net,
-			Edge:         edge,
-			VictimWindow: jsonSet(im.VictimWindow),
-			NoisePeak:    im.NoisePeak,
-			Delta:        im.Delta,
-			At:           finite(im.At),
-			Members:      im.Members,
-		})
+		out.Impacts = append(out.Impacts, jsonImpact(im))
 	}
 	return out
-}
-
-// WriteJSON serializes a full analysis result.
-func WriteJSON(w io.Writer, res *core.Result) error {
-	return writeIndented(w, BuildJSON(res))
-}
-
-// WriteDelayJSON serializes a delta-delay result.
-func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
-	return writeIndented(w, BuildDelayJSON(res))
 }
 
 // ReadJSON parses a report previously written by WriteJSON (or returned
@@ -273,10 +306,4 @@ func ReadJSON(r io.Reader) (*ResultJSON, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-func writeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

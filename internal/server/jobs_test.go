@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +175,22 @@ func TestJobPoisonQuarantineKeepsServing(t *testing.T) {
 	for _, want := range []string{"snad_jobs_quarantined_total 1", "snad_jobs_done_total 1", "snad_jobs_queued 0"} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, data)
+		}
+	}
+	// The runtime heap gauges read runtime/metrics; both must be live.
+	for _, gauge := range []string{"snad_go_heap_alloc_bytes", "snad_go_heap_sys_bytes"} {
+		v := -1.0
+		for _, line := range strings.Split(string(data), "\n") {
+			if rest, ok := strings.CutPrefix(line, gauge+" "); ok {
+				f, err := strconv.ParseFloat(rest, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				v = f
+			}
+		}
+		if v <= 0 {
+			t.Fatalf("metrics gauge %s = %v, want present and positive:\n%s", gauge, v, data)
 		}
 	}
 }

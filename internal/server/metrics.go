@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 
 	"repro/internal/intern"
@@ -65,11 +66,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("snad_budget_sheds_total", "Requests shed with 503 because the memory budget could not fit their design.", cs.BudgetSheds)
 
 	// Go runtime gauges: the load harness and the CI smoke job read heap
-	// occupancy next to the cache's own accounting.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	gauge("snad_go_heap_alloc_bytes", "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).", ms.HeapAlloc)
-	gauge("snad_go_heap_sys_bytes", "Bytes of heap obtained from the OS (runtime.MemStats.HeapSys).", ms.HeapSys)
+	// occupancy next to the cache's own accounting. runtime/metrics reads
+	// them without runtime.ReadMemStats' stop-the-world pause.
+	heapObjects, heapSys := readHeapMetrics()
+	gauge("snad_go_heap_alloc_bytes", "Bytes of allocated heap objects (runtime/metrics /memory/classes/heap/objects:bytes).", heapObjects)
+	gauge("snad_go_heap_sys_bytes", "Bytes of heap address space obtained from the OS (sum of the runtime/metrics /memory/classes/heap/* classes).", heapSys)
 	gauge("snad_go_goroutines", "Live goroutines.", runtime.NumGoroutine())
 	syms, symBytes := intern.Stats()
 	gauge("snad_interned_symbols", "Strings interned in the global symbol table.", syms)
@@ -84,4 +85,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, sb.String())
+}
+
+// heapClasses are the runtime/metrics classes that partition the heap's
+// address space; the first is the bytes of heap objects.
+var heapClasses = []string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/free:bytes",
+	"/memory/classes/heap/released:bytes",
+	"/memory/classes/heap/stacks:bytes",
+}
+
+// readHeapMetrics returns the heap's object bytes and the sum of every
+// heap class.
+func readHeapMetrics() (objects, sys uint64) {
+	samples := make([]metrics.Sample, len(heapClasses))
+	for i, name := range heapClasses {
+		samples[i].Name = name
+	}
+	metrics.Read(samples)
+	for _, s := range samples {
+		sys += s.Value.Uint64()
+	}
+	return samples[0].Value.Uint64(), sys
 }
