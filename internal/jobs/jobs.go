@@ -46,12 +46,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fairq"
 	"repro/internal/report"
 	"repro/internal/wal"
 )
@@ -318,26 +318,17 @@ type job struct {
 // with Open; it is safe for concurrent use.
 type Manager struct {
 	cfg Config
-	dir string
 
-	mu      sync.Mutex
-	journal *wal.Writer
-	seq     uint64
-	nextID  uint64
-	jobs    map[string]*job
-	// Tenant-fair dispatch: queues holds queued job IDs per tenant in
-	// FIFO order, ring lists the tenants with queued work, and workers
-	// claim round-robin from rr, skipping tenants whose runningBy count
-	// is at TenantCap. The invariant "tenant in ring iff its queue is
-	// non-empty" is maintained by enqueueLocked/popLocked; cond wakes
-	// workers on pushes, slot releases, and shutdown.
-	queues              map[string][]string
-	ring                []string
-	rr                  int
-	runningBy           map[string]int
-	cond                *sync.Cond
-	recordsSinceCompact int
-	closed              bool
+	mu     sync.Mutex
+	log    *wal.Log[record, *record]
+	nextID uint64
+	jobs   map[string]*job
+	// q is the tenant-fair dispatch queue (internal/fairq): workers claim
+	// round-robin across tenants, at most TenantCap of one tenant's jobs
+	// at once. cond wakes workers on pushes, slot releases, and shutdown.
+	q      *fairq.Queue[*job]
+	cond   *sync.Cond
+	closed bool
 
 	// baseCtx dies when Close begins; every attempt context derives from
 	// it, so a drain cancels running work cooperatively.
@@ -345,13 +336,10 @@ type Manager struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	storageDegraded atomic.Bool
-	doneTotal       atomic.Uint64
-	failedTotal     atomic.Uint64
-	canceledTotal   atomic.Uint64
-	quarantinedN    atomic.Uint64
-	bootRequeued    int
-	bootQuarantined int
+	doneTotal     atomic.Uint64
+	failedTotal   atomic.Uint64
+	canceledTotal atomic.Uint64
+	quarantinedN  atomic.Uint64
 }
 
 // Open builds a Manager: replays the journal (when Dir is set), repairs
@@ -364,36 +352,20 @@ func Open(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("jobs: Config.Exec is required")
 	}
 	m := &Manager{
-		cfg:       cfg,
-		dir:       cfg.Dir,
-		jobs:      make(map[string]*job),
-		queues:    make(map[string][]string),
-		runningBy: make(map[string]int),
+		cfg:    cfg,
+		nextID: 1,
+		jobs:   make(map[string]*job),
+		q:      fairq.New[*job](cfg.Workers, cfg.TenantCap),
 	}
-	m.nextID = 1
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
-	if m.dir != "" {
-		for _, d := range []string{m.dir, filepath.Join(m.dir, quarantineDir)} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				return nil, fmt.Errorf("jobs: %w", err)
-			}
-		}
-		if err := m.replay(); err != nil {
+	if cfg.Dir != "" {
+		if err := m.openLog(); err != nil {
 			return nil, err
 		}
-		// Boot compaction prunes and drops any torn tail before the first
-		// append; it leaves the journal writer open (on the compacted file,
-		// or the old one when the replace failed), so only open one here
-		// when it could not.
+		// Boot compaction prunes terminal jobs; when it fails the replayed
+		// (tail-repaired) journal stays in use.
 		m.compactLocked()
-		if m.journal == nil {
-			w, err := wal.OpenWriter(m.journalPath(), m.cfg.Hooks)
-			if err != nil {
-				return nil, fmt.Errorf("jobs: opening journal: %w", err)
-			}
-			m.journal = w
-		}
 		m.recoverInterrupted()
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -428,21 +400,13 @@ func (m *Manager) Submit(spec *Spec) (*report.JobJSON, error) {
 	}
 	id := fmt.Sprintf("job-%06d", m.nextID)
 	if err := m.appendLocked(&record{Type: recSubmit, ID: id, Spec: spec}); err != nil {
-		m.storageDegraded.Store(true)
 		m.mu.Unlock()
 		return nil, &StorageError{Err: err}
 	}
 	m.nextID++
-	j := &job{
-		id:          id,
-		spec:        spec,
-		state:       StateQueued,
-		maxAttempts: m.maxAttemptsOf(spec),
-		deadline:    m.deadlineOf(spec),
-		submittedAt: time.Now().UTC(),
-	}
+	j := m.newJob(id, spec, time.Now().UTC())
 	m.jobs[id] = j
-	m.enqueueLocked(id)
+	m.q.Push(spec.Tenant, j)
 	snap := m.snapshotLocked(j)
 	m.maybeCompactLocked()
 	m.mu.Unlock()
@@ -467,11 +431,7 @@ func (m *Manager) Get(id string) (*report.JobJSON, error) {
 func (m *Manager) List() []report.JobJSON {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sortStrings(ids)
+	ids := m.sortedIDsLocked()
 	out := make([]report.JobJSON, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, *m.snapshotLocked(m.jobs[id]))
@@ -512,16 +472,17 @@ func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 		// Not yet claimed (or parked between retry attempts): the
 		// terminal record can land right now.
 		if err := m.appendLocked(&record{Type: recCanceled, ID: id}); err != nil {
-			m.storageDegraded.Store(true)
 			m.mu.Unlock()
 			return nil, &StorageError{Err: err}
 		}
 		j.cancelRequested = true
+		// Parked between retry attempts, the job is owned by its worker
+		// rather than queued; the worker sees the canceled state.
+		m.q.Remove(j.spec.Tenant, j)
 		m.finalizeLocked(j, StateCanceled, "", false, nil)
 		final = true
 	} else {
 		if err := m.appendLocked(&record{Type: recCancel, ID: id}); err != nil {
-			m.storageDegraded.Store(true)
 			m.mu.Unlock()
 			return nil, &StorageError{Err: err}
 		}
@@ -571,7 +532,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		Failed:          m.failedTotal.Load(),
 		Canceled:        m.canceledTotal.Load(),
 		Quarantined:     m.quarantinedN.Load(),
-		StorageDegraded: m.storageDegraded.Load(),
+		StorageDegraded: m.log != nil && m.log.Degraded(),
 	}
 }
 
@@ -601,9 +562,8 @@ func (m *Manager) Close(budget time.Duration) {
 		m.cfg.Logf("jobs: drain budget %s exceeded; abandoning worker wait", budget)
 	}
 	m.mu.Lock()
-	if m.journal != nil {
-		m.journal.Close()
-		m.journal = nil
+	if m.log != nil {
+		m.log.Close()
 	}
 	m.mu.Unlock()
 }
@@ -633,72 +593,11 @@ func (m *Manager) next() *job {
 		if m.closed {
 			return nil
 		}
-		if j := m.popLocked(); j != nil {
+		if j, ok := m.q.Claim(); ok {
 			return j
 		}
 		m.cond.Wait()
 	}
-}
-
-// popLocked claims the next runnable job round-robin across tenants,
-// dropping stale queue entries (canceled or pruned while waiting) and
-// skipping tenants at their running cap. Callers hold m.mu.
-func (m *Manager) popLocked() *job {
-	scanned := 0
-	for scanned < len(m.ring) {
-		if m.rr >= len(m.ring) {
-			m.rr = 0
-		}
-		t := m.ring[m.rr]
-		q := m.queues[t]
-		for len(q) > 0 {
-			if j := m.jobs[q[0]]; j != nil && j.state == StateQueued {
-				break
-			}
-			q = q[1:]
-		}
-		if len(q) == 0 {
-			// Only stale entries remained: drop the tenant's ring slot
-			// without advancing rr (the next tenant slides into this
-			// index) and without counting it as scanned.
-			delete(m.queues, t)
-			m.ring = append(m.ring[:m.rr], m.ring[m.rr+1:]...)
-			continue
-		}
-		m.queues[t] = q
-		if m.runningBy[t] >= m.cfg.TenantCap {
-			m.rr = (m.rr + 1) % len(m.ring)
-			scanned++
-			continue
-		}
-		j := m.jobs[q[0]]
-		if len(q) == 1 {
-			delete(m.queues, t)
-			m.ring = append(m.ring[:m.rr], m.ring[m.rr+1:]...)
-			if len(m.ring) > 0 {
-				m.rr %= len(m.ring)
-			}
-		} else {
-			m.queues[t] = q[1:]
-			m.rr = (m.rr + 1) % len(m.ring)
-		}
-		m.runningBy[t]++
-		return j
-	}
-	return nil
-}
-
-// enqueueLocked appends a queued job to its tenant's queue, registering
-// the tenant in the dispatch ring on its first entry. Callers hold m.mu.
-func (m *Manager) enqueueLocked(id string) {
-	tenant := ""
-	if j := m.jobs[id]; j != nil {
-		tenant = j.spec.Tenant
-	}
-	if len(m.queues[tenant]) == 0 {
-		m.ring = append(m.ring, tenant)
-	}
-	m.queues[tenant] = append(m.queues[tenant], id)
 }
 
 // releaseSlot returns a tenant's running slot and wakes a waiting
@@ -706,11 +605,7 @@ func (m *Manager) enqueueLocked(id string) {
 // jobs claimable even though nothing new was enqueued.
 func (m *Manager) releaseSlot(tenant string) {
 	m.mu.Lock()
-	if n := m.runningBy[tenant] - 1; n > 0 {
-		m.runningBy[tenant] = n
-	} else {
-		delete(m.runningBy, tenant)
-	}
+	m.q.Release(tenant)
 	m.mu.Unlock()
 	m.cond.Signal()
 }
@@ -734,7 +629,6 @@ func (m *Manager) runJob(j *job) {
 		// because bookkeeping failed would turn a sick disk into a dead
 		// queue.
 		if err := m.appendLocked(&record{Type: recStart, ID: j.id, Attempt: attempt}); err != nil {
-			m.storageDegraded.Store(true)
 			m.cfg.Logf("jobs: %s attempt %d not journaled (running anyway): %v", j.id, attempt, err)
 		}
 		j.attempts = attempt
@@ -777,7 +671,6 @@ func (m *Manager) runJob(j *job) {
 			// shutdown costs no retry budget. Replay of start+requeue
 			// nets out to a queued job.
 			if aerr := m.appendLocked(&record{Type: recRequeue, ID: j.id, Attempt: attempt}); aerr != nil {
-				m.storageDegraded.Store(true)
 				m.cfg.Logf("jobs: %s requeue not journaled (replay will count the attempt): %v", j.id, aerr)
 			}
 			j.attempts--
@@ -809,7 +702,6 @@ func (m *Manager) runJob(j *job) {
 		}
 		j.diags = append(j.diags, diag)
 		if aerr := m.appendLocked(&record{Type: recAttempt, ID: j.id, Attempt: attempt, Stage: stage, Error: msg}); aerr != nil {
-			m.storageDegraded.Store(true)
 			m.cfg.Logf("jobs: %s attempt diag not journaled: %v", j.id, aerr)
 		}
 
@@ -904,11 +796,7 @@ func (m *Manager) finalizeLocked(j *job, state State, errMsg string, quarantined
 		typ = recFail
 	}
 	rec := &record{Type: typ, ID: j.id, Error: errMsg, Quarantined: quarantined, Result: result}
-	if state == StateDone {
-		rec.Result = result
-	}
 	if err := m.appendLocked(rec); err != nil {
-		m.storageDegraded.Store(true)
 		m.cfg.Logf("jobs: %s %s record not journaled: %v", j.id, typ, err)
 	}
 	j.state = state
@@ -941,6 +829,29 @@ func (m *Manager) notifyFinal(id string, state State) {
 }
 
 // --- resolved knobs and snapshots -------------------------------------
+
+// sortedIDsLocked returns every retained job ID in submission order
+// (IDs are zero-padded, so lexical order is submission order).
+func (m *Manager) sortedIDsLocked() []string {
+	ids := make([]string, 0, len(m.jobs))
+	for id := range m.jobs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// newJob is a queued job with the manager's resolved knobs.
+func (m *Manager) newJob(id string, spec *Spec, submitted time.Time) *job {
+	return &job{
+		id:          id,
+		spec:        spec,
+		state:       StateQueued,
+		maxAttempts: m.maxAttemptsOf(spec),
+		deadline:    m.deadlineOf(spec),
+		submittedAt: submitted,
+	}
+}
 
 func (m *Manager) maxAttemptsOf(s *Spec) int {
 	if s.MaxAttempts > 0 {
@@ -986,14 +897,4 @@ func (m *Manager) snapshotLocked(j *job) *report.JobJSON {
 		out.FinishedAt = j.finishedAt.Format(time.RFC3339Nano)
 	}
 	return out
-}
-
-// sortStrings is the repo's tiny insertion sort (stdlib-only dependency
-// discipline for small call sites).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

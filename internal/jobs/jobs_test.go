@@ -18,6 +18,10 @@ import (
 	"repro/internal/workload"
 )
 
+// quarantineDir is where the log sets evidence aside, next to the
+// journal (internal/wal).
+const quarantineDir = "quarantine"
+
 // okExec is an executor that immediately succeeds with a canned result.
 func okExec(calls *atomic.Int64) Executor {
 	return func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
@@ -509,8 +513,8 @@ func TestChaosFailedCompactionDoesNotLoseLaterAcks(t *testing.T) {
 			t.Fatalf("job %s lost after failed compactions: %+v, %v", id, snap, err)
 		}
 	}
-	if m2.bootQuarantined != 0 {
-		t.Fatalf("replay quarantined %d record(s) from a journal that should be monotonic", m2.bootQuarantined)
+	if matches, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*")); len(matches) != 0 {
+		t.Fatalf("replay quarantined %v from a journal that should be monotonic", matches)
 	}
 }
 
@@ -613,5 +617,34 @@ func TestMemoryOnlyManager(t *testing.T) {
 	snap := waitState(t, m, id, StateDone)
 	if snap.State != string(StateDone) {
 		t.Fatalf("memory-only job = %+v", snap)
+	}
+}
+
+// Quarantine evidence from one boot must survive the next: two boots
+// that each quarantine a record at the same frame index (and a corrupt
+// tail at the same offset) keep both files and both reason sidecars.
+func TestChaosQuarantineKeepsEarlierBootsEvidence(t *testing.T) {
+	dir := t.TempDir()
+	good, err := json.Marshal(&record{Seq: 1, Type: recSubmit, ID: "job-000001", Spec: &Spec{Session: "s", Type: "analyze"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for boot := 1; boot <= 2; boot++ {
+		// Frame 1 never decodes; frame 2 fails its CRC.
+		buf := append(wal.Frame(good), wal.Frame([]byte("not json"))...)
+		tail := wal.Frame(good)
+		tail[len(tail)-2] ^= 0xff
+		buf = append(buf, tail...)
+		if err := os.WriteFile(filepath.Join(dir, journalFile), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := openManager(t, dir, okExec(nil))
+		m.Close(2 * time.Second)
+		for _, pattern := range []string{"jobs-rec-*.rec", "jobs-rec-*.rec.reason.json", "jobs-tail-*.bin", "jobs-tail-*.bin.reason.json"} {
+			matches, _ := filepath.Glob(filepath.Join(dir, quarantineDir, pattern))
+			if len(matches) != boot {
+				t.Fatalf("after boot %d: %d file(s) match %s, want %d: %v", boot, len(matches), pattern, boot, matches)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -11,11 +10,12 @@ import (
 	"repro/internal/wal"
 )
 
-// The job journal is a single append-only WAL (jobs.wal) of state
-// transitions, periodically rewritten in place (atomic replace) from
-// live state instead of the session store's generation dance — one job
-// file keeps recovery simple, and compaction already runs under the
-// manager lock.
+// The job journal (jobs.wal) is a client of internal/wal's record log,
+// in its own file so the job subsystem fails and recovers independently
+// of the session store. This file keeps only the job record schema, the
+// function that applies a replayed record, and the snapshot builder
+// compaction writes; sequencing, replay repair, quarantine and atomic
+// compaction are the log's.
 //
 // Record types, in lifecycle order:
 //
@@ -34,8 +34,9 @@ import (
 //	           quarantined}         permanent failure
 //	canceled  {id}                  terminal: cancel completed
 //	job       {job}                 a full snapshot, written by compaction
-//	meta      {nextId}              the ID counter, so pruning terminal
-//	                                jobs never reuses their IDs
+//	meta      {nextId, generation}  the ID counter, so pruning terminal
+//	                                jobs never reuses their IDs, and the
+//	                                log's compaction generation
 const (
 	recSubmit   = "submit"
 	recStart    = "start"
@@ -49,14 +50,10 @@ const (
 	recMeta     = "meta"
 )
 
-const (
-	journalFile   = "jobs.wal"
-	quarantineDir = "quarantine"
-)
+const journalFile = "jobs.wal"
 
-// record is one journaled job event. Seq is monotonic within the file;
-// replay quarantines out-of-order records the way the session journal
-// does.
+// record is one journaled job event. Seq is assigned by the log and is
+// monotonic within the file.
 type record struct {
 	Seq         uint64          `json:"seq"`
 	Type        string          `json:"type"`
@@ -69,7 +66,19 @@ type record struct {
 	Result      json.RawMessage `json:"result,omitempty"`
 	Job         *jobSnapshot    `json:"job,omitempty"`
 	NextID      uint64          `json:"nextId,omitempty"`
+	Gen         uint64          `json:"generation,omitempty"`
 	Time        string          `json:"time,omitempty"`
+}
+
+func (r *record) Stamp(seq uint64, at string) { r.Seq, r.Time = seq, at }
+func (r *record) Sequence() uint64            { return r.Seq }
+func (r *record) Generation() uint64          { return r.Gen }
+
+func (r *record) Key() string {
+	if r.Job != nil {
+		return r.Job.ID
+	}
+	return r.ID
 }
 
 // jobSnapshot is a job's full durable state, used by compaction to
@@ -89,93 +98,37 @@ type jobSnapshot struct {
 	FinishedAt      string               `json:"finishedAt,omitempty"`
 }
 
-func (m *Manager) journalPath() string { return filepath.Join(m.dir, journalFile) }
-
-// appendLocked journals one record: assign the next sequence number,
-// stamp, frame, append, fsync. Callers decide whether a failure is
-// fatal to their operation (submit/cancel: yes, the ack is refused) or
-// fail-soft (attempt bookkeeping: the work proceeds). The sequence
-// number is burned even on failure so a partially-written frame can
-// never collide with a later successful one. Memory-only managers
-// (no Dir) treat every append as a success.
+// appendLocked journals one record. Callers decide whether a failure
+// is fatal to their operation (submit/cancel: yes, the ack is refused)
+// or fail-soft (attempt bookkeeping: the work proceeds). Memory-only
+// managers (no Dir) treat every append as a success.
 func (m *Manager) appendLocked(rec *record) error {
-	if m.dir == "" {
+	if m.log == nil {
 		return nil
 	}
-	if m.journal == nil {
-		return fmt.Errorf("job journal is closed")
-	}
-	m.seq++
-	rec.Seq = m.seq
-	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("encoding %s record: %w", rec.Type, err)
-	}
-	if err := m.journal.Append(payload); err != nil {
-		return err
-	}
-	m.recordsSinceCompact++
-	return nil
+	return m.log.Append(rec)
 }
 
-// replay rebuilds in-memory job state from the journal. It never
-// refuses the boot for bad content: torn tails are truncated away (the
-// crash signature), corrupt tails are quarantined with a reason
-// sidecar and then truncated, and records that don't decode or apply
-// are quarantined individually. Only a structurally unusable file
-// (unreadable, untruncatable) fails Open.
-func (m *Manager) replay() error {
-	path := m.journalPath()
-	scan, err := wal.Scan(path)
+// openLog replays the journal into the job table and keeps it open for
+// appends. Corrupt content never fails the boot (the log quarantines
+// it); only a structurally unusable file does.
+func (m *Manager) openLog() error {
+	log, _, err := wal.Open(filepath.Join(m.cfg.Dir, journalFile), wal.Options{
+		Name:         "jobs",
+		CompactEvery: m.cfg.CompactEvery,
+		Hooks:        m.cfg.Hooks,
+		Logf:         m.cfg.Logf,
+	}, m.applyRecord)
 	if err != nil {
-		return fmt.Errorf("jobs: scanning journal: %w", err)
+		return fmt.Errorf("jobs: opening journal: %w", err)
 	}
-	var lastSeq uint64
-	for i, payload := range scan.Frames {
-		var rec record
-		if derr := json.Unmarshal(payload, &rec); derr != nil {
-			m.quarantineRecord(i, payload, fmt.Sprintf("undecodable record: %v", derr))
-			continue
-		}
-		if rec.Seq <= lastSeq {
-			m.quarantineRecord(i, payload, fmt.Sprintf("out-of-order record: seq %d after %d", rec.Seq, lastSeq))
-			continue
-		}
-		lastSeq = rec.Seq
-		if aerr := m.applyRecord(&rec); aerr != nil {
-			m.quarantineRecord(i, payload, aerr.Error())
-		}
-	}
-	m.seq = lastSeq
-	if scan.Torn || scan.Corrupt != "" {
-		// The tail is unreadable past GoodOffset. A torn tail is the
-		// normal crash signature and is silently dropped; a corrupt tail
-		// is preserved in quarantine before truncation so the evidence
-		// survives.
-		if scan.Corrupt != "" {
-			m.quarantineTail(path, scan.GoodOffset, scan.Corrupt)
-		} else {
-			m.cfg.Logf("jobs: journal has a torn tail at offset %d (crash mid-append); truncating", scan.GoodOffset)
-		}
-		if terr := os.Truncate(path, scan.GoodOffset); terr != nil {
-			return fmt.Errorf("jobs: truncating journal tail: %w", terr)
-		}
-	}
-	// IDs never regress even when compaction pruned the jobs that used
-	// them.
-	for id := range m.jobs {
-		var n uint64
-		if _, serr := fmt.Sscanf(id, "job-%d", &n); serr == nil && n >= m.nextID {
-			m.nextID = n + 1
-		}
-	}
+	m.log = log
 	return nil
 }
 
 // applyRecord folds one journal record into the in-memory job table.
-// Returned errors mean the record was unreplayable (the caller
-// quarantines it); they never abort the replay.
+// Returned errors mean the record was unreplayable (the log quarantines
+// it); they never abort the replay.
 func (m *Manager) applyRecord(rec *record) error {
 	switch rec.Type {
 	case recMeta:
@@ -183,48 +136,36 @@ func (m *Manager) applyRecord(rec *record) error {
 			m.nextID = rec.NextID
 		}
 		return nil
-	case recJob:
-		s := rec.Job
-		if s == nil || s.ID == "" || s.Spec == nil {
-			return fmt.Errorf("job snapshot record missing id or spec")
+	case recJob, recSubmit:
+		id, spec, submitted := rec.ID, rec.Spec, rec.Time
+		if s := rec.Job; s != nil {
+			id, spec, submitted = s.ID, s.Spec, s.SubmittedAt
 		}
-		if err := s.Spec.Validate(); err != nil {
-			return fmt.Errorf("unreplayable job spec for %s: %v", s.ID, err)
+		if id == "" || spec == nil {
+			return fmt.Errorf("%s record missing id or spec", rec.Type)
 		}
-		j := &job{
-			id:              s.ID,
-			spec:            s.Spec,
-			state:           s.State,
-			attempts:        s.Attempts,
-			maxAttempts:     m.maxAttemptsOf(s.Spec),
-			deadline:        m.deadlineOf(s.Spec),
-			diags:           s.Diags,
-			errMsg:          s.Error,
-			quarantined:     s.Quarantined,
-			result:          s.Result,
-			cancelRequested: s.CancelRequested,
-			submittedAt:     parseTime(s.SubmittedAt),
-			startedAt:       parseTime(s.StartedAt),
-			finishedAt:      parseTime(s.FinishedAt),
-		}
-		m.jobs[s.ID] = j
-		return nil
-	case recSubmit:
-		if rec.ID == "" || rec.Spec == nil {
-			return fmt.Errorf("submit record missing id or spec")
-		}
-		if err := rec.Spec.Validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			// A spec that journaled but no longer validates can never
 			// execute; quarantining beats an eternal retry loop.
-			return fmt.Errorf("unreplayable job spec for %s: %v", rec.ID, err)
+			return fmt.Errorf("unreplayable job spec for %s: %v", id, err)
 		}
-		m.jobs[rec.ID] = &job{
-			id:          rec.ID,
-			spec:        rec.Spec,
-			state:       StateQueued,
-			maxAttempts: m.maxAttemptsOf(rec.Spec),
-			deadline:    m.deadlineOf(rec.Spec),
-			submittedAt: parseTime(rec.Time),
+		j := m.newJob(id, spec, parseTime(submitted))
+		if s := rec.Job; s != nil {
+			j.state = s.State
+			j.attempts = s.Attempts
+			j.diags = s.Diags
+			j.errMsg = s.Error
+			j.quarantined = s.Quarantined
+			j.result = s.Result
+			j.cancelRequested = s.CancelRequested
+			j.startedAt = parseTime(s.StartedAt)
+			j.finishedAt = parseTime(s.FinishedAt)
+		}
+		m.jobs[id] = j
+		// IDs never regress, even in a journal with no meta record yet.
+		var n uint64
+		if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n >= m.nextID {
+			m.nextID = n + 1
 		}
 		return nil
 	}
@@ -280,14 +221,10 @@ func (m *Manager) applyRecord(rec *record) error {
 
 // recoverInterrupted normalizes post-replay state: every non-terminal
 // job either re-enqueues or — when the process death itself exhausted
-// the attempt budget — quarantines as a poison job. Runs after the
-// journal writer reopens so the decisions are themselves journaled.
+// the attempt budget — quarantines as a poison job. Runs once the
+// journal is open so the decisions are themselves journaled.
 func (m *Manager) recoverInterrupted() {
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sortStrings(ids)
+	ids := m.sortedIDsLocked()
 	var finals []string
 	for _, id := range ids {
 		j := m.jobs[id]
@@ -305,7 +242,6 @@ func (m *Manager) recoverInterrupted() {
 			}
 			j.diags = append(j.diags, diag)
 			if err := m.appendLocked(&record{Type: recAttempt, ID: id, Attempt: j.attempts, Stage: diag.Stage, Error: diag.Error}); err != nil {
-				m.storageDegraded.Store(true)
 				m.cfg.Logf("jobs: %s interrupted diag not journaled: %v", id, err)
 			}
 		}
@@ -323,11 +259,8 @@ func (m *Manager) recoverInterrupted() {
 				true, nil)
 			finals = append(finals, id)
 		default:
-			if j.attempts > 0 {
-				m.bootRequeued++
-			}
 			j.state = StateQueued
-			m.enqueueLocked(id)
+			m.q.Push(j.spec.Tenant, j)
 			m.cfg.Logf("jobs: %s re-enqueued after restart (attempt %d/%d)", id, j.attempts, j.maxAttempts)
 		}
 	}
@@ -340,25 +273,16 @@ func (m *Manager) recoverInterrupted() {
 // accumulate. Failures are logged and retried at the next append — the
 // existing journal stays authoritative throughout.
 func (m *Manager) maybeCompactLocked() {
-	if m.dir == "" || m.recordsSinceCompact < m.cfg.CompactEvery {
-		return
+	if m.log != nil && m.log.Due() {
+		m.compactLocked()
 	}
-	m.compactLocked()
 }
 
 // compactLocked rewrites the journal as one snapshot record per
-// retained job (atomic replace), pruning all but the newest KeepDone
-// terminal jobs. The rename is the commit point: a crash on either
-// side leaves a fully consistent journal.
+// retained job, pruning all but the newest KeepDone terminal jobs. The
+// pruning takes effect only once the log's atomic replace commits.
 func (m *Manager) compactLocked() {
-	if m.dir == "" {
-		return
-	}
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sortStrings(ids)
+	ids := m.sortedIDsLocked()
 	// Prune oldest terminal jobs past the retention bound (IDs sort in
 	// submission order, so walking back from the end keeps the newest).
 	keep := make(map[string]bool, len(ids))
@@ -374,128 +298,42 @@ func (m *Manager) compactLocked() {
 			terminal++
 		}
 	}
-
-	var buf []byte
-	var seq uint64
-	frame := func(rec *record) bool {
-		seq++
-		rec.Seq = seq
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			m.cfg.Logf("jobs: compaction skipped: encoding: %v", err)
-			return false
+	err := m.log.Compact(func(gen uint64, emit func(*record) error) error {
+		if err := emit(&record{Type: recMeta, NextID: m.nextID, Gen: gen}); err != nil {
+			return err
 		}
-		buf = append(buf, wal.Frame(payload)...)
-		return true
-	}
-	if !frame(&record{Type: recMeta, NextID: m.nextID, Time: time.Now().UTC().Format(time.RFC3339Nano)}) {
-		return
-	}
-	for _, id := range ids {
-		if !keep[id] {
-			continue
+		for _, id := range ids {
+			if !keep[id] {
+				continue
+			}
+			j := m.jobs[id]
+			if err := emit(&record{Type: recJob, Job: &jobSnapshot{
+				ID:              j.id,
+				Spec:            j.spec,
+				State:           j.state,
+				Attempts:        j.attempts,
+				Diags:           j.diags,
+				Error:           j.errMsg,
+				Quarantined:     j.quarantined,
+				Result:          j.result,
+				CancelRequested: j.cancelRequested,
+				SubmittedAt:     fmtTime(j.submittedAt),
+				StartedAt:       fmtTime(j.startedAt),
+				FinishedAt:      fmtTime(j.finishedAt),
+			}}); err != nil {
+				return err
+			}
 		}
-		j := m.jobs[id]
-		snap := &jobSnapshot{
-			ID:              j.id,
-			Spec:            j.spec,
-			State:           j.state,
-			Attempts:        j.attempts,
-			Diags:           j.diags,
-			Error:           j.errMsg,
-			Quarantined:     j.quarantined,
-			Result:          j.result,
-			CancelRequested: j.cancelRequested,
-			SubmittedAt:     fmtTime(j.submittedAt),
-			StartedAt:       fmtTime(j.startedAt),
-			FinishedAt:      fmtTime(j.finishedAt),
-		}
-		if !frame(&record{Type: recJob, Job: snap}) {
-			return
-		}
-	}
-
-	if m.journal != nil {
-		m.journal.Close()
-		m.journal = nil
-	}
-	path := m.journalPath()
-	if err := wal.WriteFileAtomic(path, buf, m.cfg.Hooks); err != nil {
-		// The old journal is intact (rename is all-or-nothing) and its
-		// tail holds sequence numbers past this snapshot's: reopen it and
-		// keep appending in the OLD sequence space. Resetting m.seq (or
-		// the compaction counter, or pruning jobs) here would hand later
-		// fsync-acked records seqs at or below the file's last one, and
-		// the next boot's replay would quarantine them as out-of-order —
-		// a lost ack.
-		m.storageDegraded.Store(true)
+		return nil
+	})
+	if err != nil {
 		m.cfg.Logf("jobs: compaction failed (will retry): %v", err)
-		w, werr := wal.OpenWriter(path, m.cfg.Hooks)
-		if werr != nil {
-			m.cfg.Logf("jobs: reopening journal after failed compaction: %v", werr)
-			return
-		}
-		m.journal = w
 		return
 	}
-	// The rename committed: the snapshot is the journal now, and only now
-	// do the new sequence space and the retention pruning take effect.
-	m.seq = seq
-	m.recordsSinceCompact = 0
 	for _, id := range ids {
 		if !keep[id] {
 			delete(m.jobs, id)
 		}
-	}
-	w, err := wal.OpenWriter(path, m.cfg.Hooks)
-	if err != nil {
-		m.storageDegraded.Store(true)
-		m.cfg.Logf("jobs: reopening journal after compaction: %v", err)
-		return
-	}
-	m.journal = w
-}
-
-// quarantineRecord preserves an unreplayable journal record with a
-// reason sidecar, mirroring the session store's quarantine layout.
-func (m *Manager) quarantineRecord(idx int, payload []byte, reason string) {
-	m.bootQuarantined++
-	m.cfg.Logf("jobs: quarantining journal record %d: %s", idx, reason)
-	base := filepath.Join(m.dir, quarantineDir, fmt.Sprintf("jobs-rec-%d", idx))
-	if err := os.WriteFile(base+".rec", payload, 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine write failed: %v", err)
-		return
-	}
-	meta, _ := json.MarshalIndent(map[string]string{
-		"reason": reason,
-		"time":   time.Now().UTC().Format(time.RFC3339Nano),
-	}, "", "  ")
-	if err := os.WriteFile(base+".reason.json", meta, 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine reason write failed: %v", err)
-	}
-}
-
-// quarantineTail preserves the unreadable bytes past goodOff before the
-// journal is truncated under them.
-func (m *Manager) quarantineTail(path string, goodOff int64, reason string) {
-	m.bootQuarantined++
-	m.cfg.Logf("jobs: quarantining corrupt journal tail at offset %d: %s", goodOff, reason)
-	data, err := os.ReadFile(path)
-	if err != nil || goodOff >= int64(len(data)) {
-		return
-	}
-	base := filepath.Join(m.dir, quarantineDir, fmt.Sprintf("jobs-tail-%d", goodOff))
-	if err := os.WriteFile(base+".bin", data[goodOff:], 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine write failed: %v", err)
-		return
-	}
-	meta, _ := json.MarshalIndent(map[string]string{
-		"reason": reason,
-		"offset": fmt.Sprintf("%d", goodOff),
-		"time":   time.Now().UTC().Format(time.RFC3339Nano),
-	}, "", "  ")
-	if err := os.WriteFile(base+".reason.json", meta, 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine reason write failed: %v", err)
 	}
 }
 

@@ -17,13 +17,13 @@ type RecoveryJSON struct {
 	DataDir string `json:"dataDir"`
 	// RecoveredAt is the RFC3339 instant the replay finished.
 	RecoveredAt string `json:"recoveredAt"`
-	// Generation is the journal generation serving after recovery (boot
-	// compaction bumps it, so a restored store never appends to a journal
-	// that may end in a torn frame).
+	// Generation is the session log's compaction generation after
+	// recovery, kept in its meta record (boot compaction bumps it).
 	Generation uint64 `json:"generation"`
-	// Snapshots counts session snapshot files loaded.
+	// Snapshots counts the session snapshot records replayed.
 	Snapshots int `json:"snapshots"`
-	// Records counts journal records replayed on top of the snapshots.
+	// Records counts create/padding/delete records replayed on top of
+	// the snapshots.
 	Records int `json:"records"`
 	// Restored lists the sessions alive after replay, sorted.
 	Restored []string `json:"restored,omitempty"`
@@ -34,8 +34,8 @@ type RecoveryJSON struct {
 	// signature of a crash mid-append. The torn bytes are discarded by
 	// the boot compaction; everything before them replayed normally.
 	TornTail bool `json:"tornTail,omitempty"`
-	// Compacted reports that the boot folded journal and snapshots into a
-	// fresh generation after replay.
+	// Compacted reports that the boot rewrote the log as a fresh
+	// generation of snapshot records after replay.
 	Compacted bool `json:"compacted,omitempty"`
 }
 
@@ -44,8 +44,8 @@ type RecoveryJSON struct {
 type QuarantineJSON struct {
 	// File is the path of the quarantined copy, relative to the data dir.
 	File string `json:"file"`
-	// Source names what was quarantined: "journal", "snapshot", or
-	// "manifest".
+	// Source names what was quarantined: "journal" (a log record or a
+	// corrupt log tail) or "snapshot" (a spec that no longer builds).
 	Source string `json:"source"`
 	// Reason is the structured cause (CRC mismatch, bad frame length,
 	// undecodable record, unreplayable payload, ...).

@@ -311,7 +311,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 				Kind: "draining", Message: "server is draining; no new jobs accepted",
 			}, s.cfg.RetryAfter)
 		case errors.As(err, &se):
-			s.storeDegraded.Store(true)
 			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
 				Kind:    "storage",
 				Message: fmt.Sprintf("job not accepted: journal append failed: %v; retry once storage recovers", se.Err),
@@ -388,7 +387,6 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 				Kind: "conflict", Message: fmt.Sprintf("job %q already finished as %s", id, snap.State),
 			}, 0)
 		case errors.As(err, &se):
-			s.storeDegraded.Store(true)
 			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
 				Kind:    "storage",
 				Message: fmt.Sprintf("cancel not accepted: journal append failed: %v; retry once storage recovers", se.Err),

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/intern"
+	"repro/internal/jobs"
 )
 
 // handleMetrics is GET /metrics: Prometheus text exposition (format
@@ -45,7 +46,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("snad_breakers_open", "Sessions with an open circuit breaker.", len(open))
 	gauge("snad_draining", "1 while a graceful drain is in progress.", b01(s.draining.Load()))
 	gauge("snad_durable", "1 when a durable data directory is configured.", b01(s.store != nil))
-	gauge("snad_storage_degraded", "1 after any journal append has failed.", b01(s.storeDegraded.Load() || jm.StorageDegraded))
+	gauge("snad_storage_degraded", "1 after any journal append has failed.", b01(s.storageDegraded(jm)))
 
 	gauge("snad_jobs_queued", "Async jobs waiting for a job worker.", jm.Queued)
 	gauge("snad_jobs_running", "Async jobs currently executing.", jm.Running)
@@ -109,4 +110,10 @@ func readHeapMetrics() (objects, sys uint64) {
 		sys += s.Value.Uint64()
 	}
 	return samples[0].Value.Uint64(), sys
+}
+
+// storageDegraded reports whether the session log or the job journal has
+// failed an append or a compaction since boot.
+func (s *Server) storageDegraded(jm jobs.Metrics) bool {
+	return (s.store != nil && s.store.Degraded()) || jm.StorageDegraded
 }

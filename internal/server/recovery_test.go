@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/units"
+	"repro/internal/wal"
 )
 
 // analyzeOK runs an analyze (or reanalyze) and decodes the response.
@@ -255,7 +256,7 @@ func TestServerUnreplayableSpecQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	// Seed the store directly: the store journals payloads verbatim, so a
 	// create whose netlist no longer parses models on-disk format skew.
-	st, _, err := OpenStore(dir, nil, 0, t.Logf)
+	st, _, err := OpenStore(dir, wal.Hooks{}, 0, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

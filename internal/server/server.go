@@ -36,7 +36,7 @@
 //     fsynced and CRC-framed — before the response is acknowledged, and
 //     boot replays the journal fail-soft: corrupt records are quarantined
 //     with a reason, healthy sessions come back, and a SIGKILL at any
-//     instant never prevents the next boot (store.go, recovery.go).
+//     instant never prevents the next boot (store.go).
 //     LRU-evicting a persisted session keeps it reloadable: a later
 //     request transparently re-materializes it from its stored sources.
 package server
@@ -71,6 +71,7 @@ import (
 	"repro/internal/spef"
 	"repro/internal/sta"
 	"repro/internal/vlog"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -119,8 +120,8 @@ type Config struct {
 	// here and replayed on boot. Empty runs memory-only (sessions die
 	// with the process), the pre-persistence behavior.
 	DataDir string
-	// CompactEvery bounds journal growth: the store folds the journal
-	// into snapshots after this many records (default 64).
+	// CompactEvery bounds log growth: the store rewrites its log as
+	// snapshot records after this many appends (default 64).
 	CompactEvery int
 	// StoreFaultSpec injects faults into the store's write path (see
 	// workload.ParseStoreFaults). It exists for chaos-testing the
@@ -252,9 +253,8 @@ type Server struct {
 
 	// store is the durable session store (nil when DataDir is empty);
 	// recovery is the boot replay report /v1/recovery serves.
-	store         *Store
-	recovery      *report.RecoveryJSON
-	storeDegraded atomic.Bool
+	store    *Store
+	recovery *report.RecoveryJSON
 
 	// jobs owns the durable async job queue and its worker pool.
 	jobs *jobs.Manager
@@ -278,9 +278,10 @@ type Server struct {
 }
 
 // New builds a Server. It fails only when the configured data directory
-// is structurally unusable (cannot be created, journal cannot be opened
-// for append) — corrupt durable state never fails New; it is quarantined
-// and reported through /v1/recovery instead.
+// is structurally unusable (cannot be created, log cannot be opened for
+// append) or holds the older session layout — corrupt durable state
+// never fails New; it is quarantined and reported through /v1/recovery
+// instead.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
@@ -304,16 +305,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var adapter *storeFaultAdapter
+	var hooks wal.Hooks
 	if faults != nil {
-		adapter = &storeFaultAdapter{
-			BeforeWrite:  faults.BeforeWrite,
-			BeforeSync:   faults.BeforeSync,
-			BeforeRename: faults.BeforeRename,
-		}
+		hooks = wal.Hooks{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
 	}
 	if cfg.DataDir != "" {
-		st, rep, err := OpenStore(cfg.DataDir, adapter, cfg.CompactEvery, cfg.Logf)
+		st, rep, err := OpenStore(cfg.DataDir, hooks, cfg.CompactEvery, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}
@@ -343,9 +340,7 @@ func New(cfg Config) (*Server, error) {
 		// write-path faults) with the session store, but is its own WAL:
 		// the two subsystems fail and recover independently.
 		jcfg.Dir = filepath.Join(cfg.DataDir, "jobs")
-		if adapter != nil {
-			jcfg.Hooks = adapter.hooks()
-		}
+		jcfg.Hooks = hooks
 	}
 	jm, err := jobs.Open(jcfg)
 	if err != nil {
@@ -897,7 +892,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Shed:            s.shedN.Load(),
 		OpenBreakers:    open,
 		Durable:         s.store != nil,
-		StorageDegraded: s.storeDegraded.Load() || jm.StorageDegraded,
+		StorageDegraded: s.storageDegraded(jm),
 		JobsQueued:      jm.Queued,
 		JobsRunning:     jm.Running,
 		MemBudget:       cs.Budget,
@@ -999,8 +994,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.store != nil {
-		if err := s.storeCreate(&req); err != nil {
-			s.storeDegraded.Store(true)
+		if err := s.journaled(func() error { return s.store.Create(&req) }); err != nil {
 			func() {
 				s.mu.Lock()
 				defer s.mu.Unlock()
@@ -1180,7 +1174,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	sortInfos(infos)
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	s.writeJSON(w, http.StatusOK, infos)
 }
 
@@ -1231,8 +1225,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if persisted {
 		// The tombstone must be durable BEFORE the 200: a crash right
 		// after the reply must not resurrect the session on replay.
-		if err := s.storeDelete(name); err != nil {
-			s.storeDegraded.Store(true)
+		if err := s.journaled(func() error { return s.store.Delete(name) }); err != nil {
 			s.mu.Lock()
 			if inMem {
 				ss.deleting = false
@@ -1368,33 +1361,17 @@ func (s *Server) persistPadding(ss *session) {
 	if s.store == nil || !ss.persisted {
 		return
 	}
-	if err := s.storePadding(ss.name, ss.padding); err != nil {
-		s.storeDegraded.Store(true)
+	if err := s.journaled(func() error { return s.store.Padding(ss.name, ss.padding) }); err != nil {
 		s.cfg.Logf("session %q padding not journaled (analysis succeeded; the delta is safely re-appliable): %v", ss.name, err)
 	}
 }
 
-// storeCreate, storeDelete, and storePadding wrap the durable store's
-// journal mutations with the fsync-latency histogram: every journaled
-// record is one fsync'd append, so timing these three seams covers the
-// whole write path.
-func (s *Server) storeCreate(req *CreateSessionRequest) error {
+// journaled runs one durable store mutation (Create, Delete, or Padding)
+// under the fsync-latency histogram: every journaled record is one
+// fsync'd append, so timing these seams covers the whole write path.
+func (s *Server) journaled(mutate func() error) error {
 	start := time.Now()
-	err := s.store.Create(req)
-	s.histFsync.Observe(time.Since(start).Seconds())
-	return err
-}
-
-func (s *Server) storeDelete(name string) error {
-	start := time.Now()
-	err := s.store.Delete(name)
-	s.histFsync.Observe(time.Since(start).Seconds())
-	return err
-}
-
-func (s *Server) storePadding(name string, padding map[string]float64) error {
-	start := time.Now()
-	err := s.store.Padding(name, padding)
+	err := mutate()
 	s.histFsync.Observe(time.Since(start).Seconds())
 	return err
 }
@@ -1580,12 +1557,4 @@ func parseMode(s string) (core.Mode, error) {
 		return core.ModeNoiseWindows, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q (want all|timing|noise)", s)
-}
-
-func sortInfos(infos []SessionInfo) {
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].Name < infos[j-1].Name; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
 }

@@ -1,13 +1,10 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
+	"sort"
 	"sync"
 	"time"
 
@@ -15,57 +12,31 @@ import (
 	"repro/internal/wal"
 )
 
-// Store is the durable session store: an append-only write-ahead journal
-// of session lifecycle events plus per-session snapshot files, under one
-// data directory. Its contract to the server:
+// Store is the durable session store, one client of internal/wal's
+// record log at DIR/sessions.wal (the job journal is the other, in its
+// own file, so the two fail and recover independently). This file keeps
+// only what is session-specific: the record schema, the apply function
+// replay calls, and the snapshot builder compaction calls. Its contract
+// to the server:
 //
 //   - An acknowledged Create/Delete/Padding is durable: the record is
-//     framed (length + CRC32), appended, and fsynced before the call
-//     returns, so a crash immediately after cannot lose (or, for Delete,
-//     resurrect) the session.
-//
-//   - Every multi-byte file replacement (snapshots, the manifest) is
-//     atomic: written to a temp file, fsynced, renamed into place, and
-//     the directory fsynced. A crash at any instant leaves either the
-//     old file or the new one, never a hybrid; stray temp files are
-//     swept on boot.
-//
-//   - Recovery is fail-soft: a corrupt or unreplayable record is moved
-//     to quarantine/ with a structured reason and the boot continues
-//     with every healthy session (see recovery.go).
-//
-// Layout of the data directory:
-//
-//	MANIFEST            framed JSON {version, generation}
-//	journal-NNNNNN.wal  the active journal for generation NNNNNN
-//	sessions/HASH.snap  framed JSON snapshot per persisted session
-//	quarantine/*        unreplayable records/files + reasons
-//
-// Compaction folds the journal into snapshots: every live session is
-// snapshotted, stale snapshots of deleted sessions are removed, a fresh
-// empty journal for generation+1 is created, and the manifest flips to
-// the new generation — in that order, so a crash at any point between
-// steps replays to the same state from either generation.
+//     appended and fsynced before the call returns, so a crash right
+//     after cannot lose (or, for Delete, resurrect) the session.
+//   - Compaction atomically rewrites the log as one meta record (the
+//     generation) plus one snapshot record per live session.
+//   - Recovery is fail-soft: an unreplayable record is moved to
+//     DIR/quarantine/ with a reason and the boot keeps every healthy
+//     session.
 //
 // Store methods are safe for concurrent use. The in-memory spec index
 // mirrors the durable state so the server can list and lazily
-// re-materialize persisted sessions (including ones LRU-evicted from
-// memory) without touching disk on the read path.
+// re-materialize persisted sessions without touching disk.
 type Store struct {
-	dir   string
-	logf  func(format string, args ...any)
-	hooks wal.Hooks
+	logf func(format string, args ...any)
 
-	mu      sync.Mutex
-	journal *wal.Writer
-	gen     uint64
-	seq     uint64
-	specs   map[string]*sessionSpec
-	// recordsSinceCompact triggers background-free compaction once the
-	// journal accumulates compactEvery records.
-	recordsSinceCompact int
-	compactEvery        int
-	quarantined         int
+	mu    sync.Mutex
+	log   *wal.Log[record, *record]
+	specs map[string]*sessionSpec
 }
 
 // sessionSpec is everything needed to re-materialize one session: the
@@ -90,64 +61,150 @@ func (sp *sessionSpec) clone() *sessionSpec {
 	return out
 }
 
-// manifest is the framed JSON of the MANIFEST file.
-type manifest struct {
-	Version    int    `json:"version"`
-	Generation uint64 `json:"generation"`
+// record is one session-log entry.
+type record struct {
+	// Seq is assigned by the log, monotonic within the file.
+	Seq uint64 `json:"seq"`
+	// Type is "meta", "snapshot", "create", "padding", or "delete".
+	Type string `json:"type"`
+	// Name is the session the record applies to.
+	Name string `json:"name,omitempty"`
+	// Create carries the full CreateSessionRequest for "create" and
+	// "snapshot" records — everything needed to re-materialize the
+	// session from scratch.
+	Create *CreateSessionRequest `json:"create,omitempty"`
+	// Padding carries the cumulative per-net window padding of "padding"
+	// and "snapshot" records. Padding is max-monotonic, so replaying a
+	// stale record is absorbed, never harmful.
+	Padding map[string]float64 `json:"padding,omitempty"`
+	// Gen is the compaction generation, carried by the "meta" record.
+	Gen uint64 `json:"generation,omitempty"`
+	// Time is the wall-clock instant the record was written (RFC3339,
+	// informational only — replay order is file order).
+	Time string `json:"time,omitempty"`
 }
 
+func (r *record) Stamp(seq uint64, at string) { r.Seq, r.Time = seq, at }
+func (r *record) Sequence() uint64            { return r.Seq }
+func (r *record) Key() string                 { return r.Name }
+func (r *record) Generation() uint64          { return r.Gen }
+
 const (
-	manifestName  = "MANIFEST"
-	sessionsDir   = "sessions"
-	quarantineDir = "quarantine"
-	// defaultCompactEvery bounds journal growth: one compaction per this
-	// many appended records.
+	logFile = "sessions.wal"
+	// defaultCompactEvery bounds log growth: one compaction per this many
+	// appended records.
 	defaultCompactEvery = 64
 )
 
-func journalName(gen uint64) string { return fmt.Sprintf("journal-%06d.wal", gen) }
-
-// snapName maps a session name to its snapshot filename. Session names
-// are client-chosen free text, so the filename is a truncated SHA-256 —
-// fixed length, collision-resistant, and immune to path tricks; the real
-// name lives inside the snapshot payload.
-func snapName(name string) string {
-	sum := sha256.Sum256([]byte(name))
-	return hex.EncodeToString(sum[:16]) + ".snap"
-}
-
-// writeFileAtomic lands data at path through the temp+fsync+rename+dirsync
-// discipline, with the fault hooks at each stage.
-func (st *Store) writeFileAtomic(path string, data []byte) error {
-	return wal.WriteFileAtomic(path, data, st.hooks)
-}
-
-// --- lifecycle events -------------------------------------------------
-
-// appendLocked journals one record; callers hold st.mu. On success the
-// in-memory effects have NOT been applied — callers apply them after, so
-// a journaling failure leaves the index matching the durable state.
-func (st *Store) appendLocked(typ, name string, create *CreateSessionRequest, padding map[string]float64) error {
-	st.seq++
-	rec := &record{
-		Seq:     st.seq,
-		Type:    typ,
-		Name:    name,
-		Create:  create,
-		Padding: padding,
-		Time:    time.Now().UTC().Format(time.RFC3339Nano),
+// OpenStore opens (creating if needed) the data directory, replays the
+// session log, and returns the store plus the recovery report that
+// /v1/recovery serves. Corrupt content never fails it; a directory that
+// cannot be used at all, or one in the older multi-file layout, does.
+//
+//snavet:ctxloop boot-time log replay before any request context exists; bounded by the on-disk store
+func OpenStore(dir string, hooks wal.Hooks, compactEvery int, logf func(string, ...any)) (*Store, *report.RecoveryJSON, error) {
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
-	payload, err := json.Marshal(rec)
+	if compactEvery <= 0 {
+		compactEvery = defaultCompactEvery
+	}
+	// Nothing reads the older layout (a MANIFEST naming journal
+	// generations, snapshots under sessions/). Booting empty beside it
+	// would silently drop every acknowledged session.
+	for _, pattern := range []string{"MANIFEST", "journal-*.wal"} {
+		if old, _ := filepath.Glob(filepath.Join(dir, pattern)); len(old) > 0 {
+			return nil, nil, fmt.Errorf("store: %s is from an older data-directory layout that this snad cannot read", old[0])
+		}
+	}
+	st := &Store{logf: logf, specs: make(map[string]*sessionSpec)}
+	rep := &report.RecoveryJSON{DataDir: dir}
+	restoredAt := time.Now().UTC()
+	log, replay, err := wal.Open(filepath.Join(dir, logFile), wal.Options{
+		Name:         "sessions",
+		CompactEvery: compactEvery,
+		Hooks:        hooks,
+		Logf:         logf,
+	}, func(rec *record) error { return st.apply(rec, rep, restoredAt) })
 	if err != nil {
-		return fmt.Errorf("encoding journal record: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	if err := st.journal.Append(payload); err != nil {
-		// The tail may now hold a torn frame. Sequence numbers must not
-		// be reused (replay treats non-monotonic seq as corruption), so
-		// the burned seq stays burned.
+	st.log = log
+	rep.TornTail = replay.TornTail
+	for _, q := range replay.Quarantined {
+		rep.Quarantined = append(rep.Quarantined, report.QuarantineJSON{
+			File: q.File, Source: "journal", Session: q.Key, Seq: q.Seq, Reason: q.Reason,
+		})
+	}
+	// Fold the replay into a fresh generation, so quarantined garbage
+	// cannot resurface on the next boot. A failure leaves the replayed,
+	// tail-repaired file in use.
+	if err := st.compactLocked(); err != nil {
+		logf("store: boot compaction failed (will retry): %v", err)
+	} else {
+		rep.Compacted = true
+	}
+	rep.RecoveredAt = restoredAt.Format(time.RFC3339Nano)
+	rep.Generation = log.Gen()
+	rep.Restored = st.Names()
+	return st, rep, nil
+}
+
+// apply applies one replayed record to the spec index, returning why an
+// unreplayable record must be quarantined.
+func (st *Store) apply(rec *record, rep *report.RecoveryJSON, restoredAt time.Time) error {
+	switch rec.Type {
+	case "meta":
+		return nil
+	case "create", "snapshot":
+		if rec.Create == nil || rec.Create.Name == "" {
+			return fmt.Errorf("%s record without a request payload", rec.Type)
+		}
+		st.specs[rec.Create.Name] = &sessionSpec{Create: rec.Create, Padding: rec.Padding, restoredAt: restoredAt}
+		if rec.Type == "snapshot" {
+			rep.Snapshots++
+			return nil
+		}
+	case "padding":
+		sp := st.specs[rec.Name]
+		if sp == nil {
+			return fmt.Errorf("padding for unknown session %q", rec.Name)
+		}
+		if sp.Padding == nil {
+			sp.Padding = make(map[string]float64, len(rec.Padding))
+		}
+		for net, pad := range rec.Padding {
+			if pad > sp.Padding[net] {
+				sp.Padding[net] = pad
+			}
+		}
+	case "delete":
+		if rec.Name == "" {
+			return fmt.Errorf("delete record without a session name")
+		}
+		delete(st.specs, rec.Name)
+	default:
+		return fmt.Errorf("unknown record type %q", rec.Type)
+	}
+	rep.Records++
+	return nil
+}
+
+// appendLocked journals one record and compacts when due; callers hold
+// st.mu. The in-memory effects are applied by the caller between the two,
+// so a journaling failure leaves the index matching the durable state.
+func (st *Store) appendLocked(rec *record, apply func()) error {
+	if err := st.log.Append(rec); err != nil {
 		return err
 	}
-	st.recordsSinceCompact++
+	apply()
+	if st.log.Due() {
+		if err := st.compactLocked(); err != nil {
+			// Compaction is an optimization, not a durability requirement:
+			// the next append retries it.
+			st.logf("store: compaction failed (will retry): %v", err)
+		}
+	}
 	return nil
 }
 
@@ -157,38 +214,26 @@ func (st *Store) appendLocked(typ, name string, create *CreateSessionRequest, pa
 func (st *Store) Create(req *CreateSessionRequest) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.appendLocked("create", req.Name, req, nil); err != nil {
-		return err
-	}
-	st.specs[req.Name] = &sessionSpec{Create: req}
-	st.maybeCompactLocked()
-	return nil
+	return st.appendLocked(&record{Type: "create", Name: req.Name, Create: req}, func() {
+		st.specs[req.Name] = &sessionSpec{Create: req}
+	})
 }
 
 // Delete durably records a session tombstone. It must succeed before the
 // server acknowledges the delete: a crash right after the 200 must not
-// resurrect the session on replay. The snapshot file (if any) is removed
-// after the tombstone lands; if that removal is lost to a crash, the
-// replayed tombstone still wins.
+// resurrect the session on replay.
 func (st *Store) Delete(name string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.appendLocked("delete", name, nil, nil); err != nil {
-		return err
-	}
-	delete(st.specs, name)
-	snap := filepath.Join(st.dir, sessionsDir, snapName(name))
-	if err := os.Remove(snap); err != nil && !os.IsNotExist(err) {
-		st.logf("store: removing snapshot of deleted %q: %v (tombstone journaled; compaction will finish the cleanup)", name, err)
-	}
-	st.maybeCompactLocked()
-	return nil
+	return st.appendLocked(&record{Type: "delete", Name: name}, func() {
+		delete(st.specs, name)
+	})
 }
 
 // Padding durably records the session's cumulative window padding.
-// Padding is max-monotonic, so the journal carries the full cumulative
-// map — replaying any prefix of padding records yields a state the next
-// record absorbs.
+// Padding is max-monotonic, so the log carries the full cumulative map —
+// replaying any prefix of padding records yields a state the next record
+// absorbs.
 func (st *Store) Padding(name string, padding map[string]float64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -200,12 +245,9 @@ func (st *Store) Padding(name string, padding map[string]float64) error {
 	for k, v := range padding {
 		cp[k] = v
 	}
-	if err := st.appendLocked("padding", name, nil, cp); err != nil {
-		return err
-	}
-	sp.Padding = cp
-	st.maybeCompactLocked()
-	return nil
+	return st.appendLocked(&record{Type: "padding", Name: name, Padding: cp}, func() {
+		sp.Padding = cp
+	})
 }
 
 // Spec returns a copy of the persisted spec for name, or nil. The server
@@ -225,11 +267,15 @@ func (st *Store) Spec(name string) *sessionSpec {
 func (st *Store) Names() []string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.namesLocked()
+}
+
+func (st *Store) namesLocked() []string {
 	out := make([]string, 0, len(st.specs))
 	for name := range st.specs {
 		out = append(out, name)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -245,153 +291,40 @@ func (st *Store) QuarantineSpec(name, reason string) *report.QuarantineJSON {
 	if sp == nil {
 		return nil
 	}
-	dst := st.quarantinePath(snapName(name) + ".spec")
-	if payload, err := json.Marshal(sp); err == nil {
-		if werr := os.WriteFile(dst, payload, 0o644); werr != nil {
-			st.logf("store: writing quarantined spec %s: %v", dst, werr)
-		}
-	}
-	if err := st.appendLocked("delete", name, nil, nil); err != nil {
+	payload, _ := json.Marshal(sp) // the spec decoded from JSON, so it encodes
+	q := st.log.Quarantine("spec", name, payload, reason)
+	if err := st.log.Append(&record{Type: "delete", Name: name}); err != nil {
 		st.logf("store: journaling quarantine tombstone for %q: %v", name, err)
 	}
 	delete(st.specs, name)
-	if err := os.Remove(filepath.Join(st.dir, sessionsDir, snapName(name))); err != nil && !os.IsNotExist(err) {
-		st.logf("store: removing quarantined snapshot of %q: %v", name, err)
-	}
-	rel, err := filepath.Rel(st.dir, dst)
-	if err != nil {
-		rel = dst
-	}
-	entry := &report.QuarantineJSON{File: rel, Source: "snapshot", Session: name, Reason: reason}
-	if meta, err := json.Marshal(entry); err == nil {
-		if werr := os.WriteFile(dst+".reason.json", meta, 0o644); werr != nil {
-			st.logf("store: writing quarantine reason for %q: %v", name, werr)
-		}
-	}
-	st.quarantined++
-	return entry
+	return &report.QuarantineJSON{File: q.File, Source: "snapshot", Session: name, Reason: reason}
 }
 
-// Close flushes nothing (appends are already fsynced) and releases the
-// journal file.
+// Degraded reports whether an append or compaction has failed since
+// boot.
+func (st *Store) Degraded() bool { return st.log.Degraded() }
+
+// Close releases the log file (appends are already fsynced).
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.journal == nil {
-		return nil
-	}
-	err := st.journal.Close()
-	st.journal = nil
-	return err
+	return st.log.Close()
 }
 
-// --- compaction -------------------------------------------------------
-
-// maybeCompactLocked compacts when the journal has accumulated enough
-// records; a failure is logged and retried after the next append —
-// compaction is an optimization, not a durability requirement.
-func (st *Store) maybeCompactLocked() {
-	if st.recordsSinceCompact < st.compactEvery {
-		return
-	}
-	if err := st.compactLocked(); err != nil {
-		st.logf("store: compaction failed (will retry): %v", err)
-	}
-}
-
-// compactLocked folds the journal into snapshots and starts a fresh
-// generation. Ordering is the crash-safety argument:
-//
-//  1. snapshot every live session (atomic replaces)
-//  2. remove snapshots of sessions that no longer exist — before the
-//     manifest flips, while the old journal's tombstones still replay
-//  3. create + fsync the new empty journal
-//  4. flip the manifest (atomic replace) — the commit point
-//  5. remove the old journal
-//
-// A crash before 4 recovers from the old generation (snapshots are
-// absorbed by replay because creates overwrite and padding is
-// max-monotonic); a crash after 4 recovers from the new generation's
-// snapshots alone.
+// compactLocked rewrites the log as the meta record plus one snapshot
+// record per live session, in name order. Callers hold st.mu (or own the
+// store exclusively, as OpenStore does).
 func (st *Store) compactLocked() error {
-	for name, sp := range st.specs {
-		if err := st.writeSnapshotLocked(name, sp); err != nil {
-			return fmt.Errorf("snapshotting %q: %w", name, err)
+	return st.log.Compact(func(gen uint64, emit func(*record) error) error {
+		if err := emit(&record{Type: "meta", Gen: gen}); err != nil {
+			return err
 		}
-	}
-	entries, err := os.ReadDir(filepath.Join(st.dir, sessionsDir))
-	if err != nil {
-		return err
-	}
-	live := make(map[string]bool, len(st.specs))
-	for name := range st.specs {
-		live[snapName(name)] = true
-	}
-	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, ".snap") && !live[name] {
-			if err := os.Remove(filepath.Join(st.dir, sessionsDir, name)); err != nil {
+		for _, name := range st.namesLocked() {
+			sp := st.specs[name]
+			if err := emit(&record{Type: "snapshot", Name: name, Create: sp.Create, Padding: sp.Padding}); err != nil {
 				return err
 			}
 		}
-	}
-	if err := wal.SyncDir(filepath.Join(st.dir, sessionsDir)); err != nil {
-		return err
-	}
-
-	newGen := st.gen + 1
-	nj, err := wal.OpenWriter(filepath.Join(st.dir, journalName(newGen)), st.hooks)
-	if err != nil {
-		return err
-	}
-	if err := nj.Sync(); err != nil {
-		nj.Close()
-		return err
-	}
-	if err := st.writeManifestLocked(newGen); err != nil {
-		nj.Close()
-		// The new journal file is harmless: boot ignores journals of
-		// other generations and sweeps them.
-		return err
-	}
-	old := st.journal
-	st.journal, st.gen, st.seq = nj, newGen, 0
-	st.recordsSinceCompact = 0
-	if old != nil {
-		oldPath := old.Path()
-		old.Close()
-		if err := os.Remove(oldPath); err != nil && !os.IsNotExist(err) {
-			st.logf("store: removing compacted journal %s: %v", oldPath, err)
-		}
-	}
-	if err := wal.SyncDir(st.dir); err != nil {
-		st.logf("store: syncing data dir after compaction: %v", err)
-	}
-	return nil
-}
-
-func (st *Store) writeSnapshotLocked(name string, sp *sessionSpec) error {
-	payload, err := json.Marshal(sp)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(st.dir, sessionsDir, snapName(name))
-	return st.writeFileAtomic(path, wal.Frame(payload))
-}
-
-func (st *Store) writeManifestLocked(gen uint64) error {
-	payload, err := json.Marshal(manifest{Version: 1, Generation: gen})
-	if err != nil {
-		return err
-	}
-	return st.writeFileAtomic(filepath.Join(st.dir, manifestName), wal.Frame(payload))
-}
-
-// sortStrings is a tiny insertion sort, matching sortInfos' dependency
-// discipline (stdlib-only, no sort import for two call sites).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+		return nil
+	})
 }

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/report"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -15,19 +15,22 @@ import (
 // failing the test on the structurally-unusable-directory path.
 func openTestStore(t *testing.T, dir, faultSpec string) (*Store, *report.RecoveryJSON) {
 	t.Helper()
-	var adapter *storeFaultAdapter
+	return openTestStoreEvery(t, dir, faultSpec, 0)
+}
+
+// openTestStoreEvery is openTestStore with an explicit compaction
+// interval.
+func openTestStoreEvery(t *testing.T, dir, faultSpec string, compactEvery int) (*Store, *report.RecoveryJSON) {
+	t.Helper()
+	var hooks wal.Hooks
 	if faultSpec != "" {
 		faults, err := workload.ParseStoreFaults(faultSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adapter = &storeFaultAdapter{
-			BeforeWrite:  faults.BeforeWrite,
-			BeforeSync:   faults.BeforeSync,
-			BeforeRename: faults.BeforeRename,
-		}
+		hooks = wal.Hooks{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
 	}
-	st, rep, err := OpenStore(dir, adapter, 0, t.Logf)
+	st, rep, err := OpenStore(dir, hooks, compactEvery, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +92,11 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStoreCompaction: the journal folds into snapshots and a fresh
-// generation without changing the recovered state, and stale journals
-// disappear.
+// TestStoreCompaction: the log folds into snapshot records and a fresh
+// generation without changing the recovered state, and stays one file.
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := OpenStore(dir, nil, 2, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := openTestStoreEvery(t, dir, "", 2)
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
 		storeCreate(t, st, name)
 	}
@@ -170,7 +169,7 @@ func TestStoreCrashAfterTornAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) < frameHeaderLen+2 {
+	if len(data) < wal.FrameHeaderLen+2 {
 		t.Fatalf("journal too short to tear: %d bytes", len(data))
 	}
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
@@ -210,58 +209,33 @@ func activeJournal(t *testing.T, dir string) string {
 	return found
 }
 
-// TestStoreCrashBetweenTempAndRename: a stranded snapshot temp file (the
-// crash-between-temp-and-rename window) is swept on boot, and the state
-// recovers from the journal.
+// TestStoreCrashBetweenTempAndRename: a compaction that crashes between
+// its temp file and the rename strands sessions.wal.tmp; the boot sweeps
+// it and recovers the state from the intact log.
 func TestStoreCrashBetweenTempAndRename(t *testing.T) {
 	dir := t.TempDir()
 	// compactEvery=1 compacts after the first create; the crashrename
-	// fault fails that compaction's snapshot write after the temp file is
-	// fully on disk (write #1 is the boot compaction's manifest, #2 the
-	// snapshot).
-	var adapter *storeFaultAdapter
-	faults, err := workload.ParseStoreFaults("crashrename:write:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapter = &storeFaultAdapter{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
-	st, _, err := OpenStore(dir, adapter, 1, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// fault fails that compaction after its temp file is fully on disk
+	// (write #1 is the boot compaction, #2 the create's).
+	st, _ := openTestStoreEvery(t, dir, "crashrename:write:2", 1)
 	// The create itself succeeds — compaction is an optimization and its
 	// failure must not fail the lifecycle event.
 	storeCreate(t, st, "a")
-	stranded := 0
-	entries, err := os.ReadDir(filepath.Join(dir, sessionsDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			stranded++
-		}
-	}
-	if stranded == 0 {
-		t.Fatal("crashrename did not strand a temp file")
+	tmp := filepath.Join(dir, logFile+".tmp")
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("crashrename did not strand a temp file: %v", err)
 	}
 	// Crash; reopen without faults.
 	st2, _ := openTestStore(t, dir, "")
 	wantNames(t, st2, "a")
-	entries, err = os.ReadDir(filepath.Join(dir, sessionsDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("stranded temp file %s survived the boot sweep", e.Name())
-		}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stranded temp file survived the boot sweep: %v", err)
 	}
 }
 
-// TestStoreJournalCorruptionQuarantined: a CRC mismatch in the middle of
-// the journal (bit rot, not a crash) quarantines the unreadable region
-// with a reason instead of refusing the boot; records before it replay.
+// TestStoreJournalCorruptionQuarantined: a CRC mismatch in the log's
+// last frame (bit rot, not a crash) quarantines the corrupt tail with a
+// reason instead of refusing the boot; records before it replay.
 func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir, "")
@@ -274,14 +248,9 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte inside the second frame: the first frame's
-	// length names the boundary.
-	n1 := binary.LittleEndian.Uint32(data[0:4])
-	off := int(frameHeaderLen+n1) + frameHeaderLen + 2
-	if off >= len(data) {
-		t.Fatalf("journal layout: %d bytes, second payload at %d", len(data), off)
-	}
-	data[off] ^= 0xff
+	// Flip a payload byte inside the last frame (b's create); the frames
+	// before it are the boot compaction's meta record and a's create.
+	data[len(data)-3] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +269,9 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	if !found {
 		t.Fatalf("no CRC quarantine entry: %+v", rep.Quarantined)
 	}
-	// The boot compaction folds the healthy state into a new generation:
-	// the next boot is clean.
+	// The corrupt tail was quarantined and truncated, and the boot
+	// compaction folded the healthy state into a new generation: the next
+	// boot is clean.
 	st2.Close()
 	st3, rep3 := openTestStore(t, dir, "")
 	wantNames(t, st3, "a")
@@ -310,31 +280,39 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotCorruptionQuarantined: one rotten snapshot loses one
-// session — with a quarantine trail — not the directory.
+// TestStoreSnapshotCorruptionQuarantined: a rotten snapshot record
+// loses only its own session — with a quarantine trail — not the
+// sessions snapshotted after it, nor the directory.
 func TestStoreSnapshotCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := OpenStore(dir, nil, 1, t.Logf) // compact after every record
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeCreate(t, st, "healthy")
-	storeCreate(t, st, "rotten")
+	st, _ := openTestStoreEvery(t, dir, "", 1) // compact after every record
+	storeCreate(t, st, "a-rotten")
+	storeCreate(t, st, "b-healthy")
+	storeCreate(t, st, "c-healthy")
 	st.Close()
 
-	snap := filepath.Join(dir, sessionsDir, snapName("rotten"))
-	data, err := os.ReadFile(snap)
+	// The last compaction wrote meta then one snapshot per session in
+	// name order; rot the first snapshot record.
+	path := filepath.Join(dir, logFile)
+	scan, err := wal.Scan(path)
+	if err != nil || len(scan.Frames) != 4 || !strings.Contains(string(scan.Frames[1]), `"a-rotten"`) {
+		t.Fatalf("log layout: %d frames, err %v", len(scan.Frames), err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snap, data, 0o644); err != nil {
+	data[2*wal.FrameHeaderLen+len(scan.Frames[0])+len(scan.Frames[1])/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	st2, rep := openTestStore(t, dir, "")
-	wantNames(t, st2, "healthy")
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Source != "snapshot" {
+	wantNames(t, st2, "b-healthy", "c-healthy")
+	if rep.Snapshots != 2 {
+		t.Fatalf("snapshots = %d, want 2", rep.Snapshots)
+	}
+	if len(rep.Quarantined) != 1 || !strings.Contains(rep.Quarantined[0].Reason, "CRC") {
 		t.Fatalf("quarantine = %+v", rep.Quarantined)
 	}
 	// The quarantined bytes and their reason sidecar are on disk for the
@@ -346,67 +324,67 @@ func TestStoreSnapshotCorruptionQuarantined(t *testing.T) {
 	if _, err := os.Stat(qfile + ".reason.json"); err != nil {
 		t.Fatalf("quarantine reason sidecar missing: %v", err)
 	}
-}
-
-// TestStoreManifestCorruptionFallsBack: an unreadable manifest is
-// quarantined and the generation is recovered from the journal files on
-// disk.
-func TestStoreManifestCorruptionFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir, "")
-	storeCreate(t, st, "a")
-	st.Close()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not a manifest"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, rep := openTestStore(t, dir, "")
-	wantNames(t, st2, "a")
-	found := false
-	for _, q := range rep.Quarantined {
-		if q.Source == "manifest" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("manifest corruption not quarantined: %+v", rep.Quarantined)
-	}
-}
-
-// TestStoreTombstoneOutlivesLostUnlink: a delete whose snapshot unlink is
-// lost to a crash still deletes — the replayed tombstone beats the stale
-// snapshot.
-func TestStoreTombstoneOutlivesLostUnlink(t *testing.T) {
-	dir := t.TempDir()
-	st, _, err := OpenStore(dir, nil, 1, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeCreate(t, st, "a") // compacted: snapshot on disk
-	st.Close()
-	snap := filepath.Join(dir, sessionsDir, snapName("a"))
-	saved, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with compaction disabled-ish (large interval) so the
-	// tombstone stays in the journal, delete, then "crash" and undo the
-	// snapshot unlink as a crash would.
-	st2, _, err := OpenStore(dir, nil, 1000, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
+	// The boot compaction rewrote the log without the rotten frame.
 	st2.Close()
-	if err := os.WriteFile(snap, saved, 0o644); err != nil {
+	st3, rep3 := openTestStore(t, dir, "")
+	wantNames(t, st3, "b-healthy", "c-healthy")
+	if len(rep3.Quarantined) != 0 {
+		t.Fatalf("rotten frame resurfaced: %+v", rep3.Quarantined)
+	}
+}
+
+// TestStoreFailedCompactionDoesNotLoseLaterAcks: with every compaction
+// failing between temp file and rename, the log keeps appending in its
+// old sequence space, so every acknowledged record replays in order.
+func TestStoreFailedCompactionDoesNotLoseLaterAcks(t *testing.T) {
+	dir := t.TempDir()
+	st, rep := openTestStoreEvery(t, dir, "crashrename:write:*", 1)
+	if rep.Compacted {
+		t.Fatal("boot compaction reported success under crashrename")
+	}
+	storeCreate(t, st, "a")
+	if err := st.Padding("a", map[string]float64{"n1": 2e-12}); err != nil {
 		t.Fatal(err)
 	}
+	storeCreate(t, st, "b")
+	storeCreate(t, st, "c")
+	if err := st.Delete("c"); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
 
-	st3, _ := openTestStore(t, dir, "")
-	if st3.Spec("a") != nil {
-		t.Fatal("tombstoned session resurrected from a stale snapshot")
+	st2, rep2 := openTestStore(t, dir, "")
+	wantNames(t, st2, "a", "b")
+	if len(rep2.Quarantined) != 0 {
+		t.Fatalf("replay quarantined records of a log that should be monotonic: %+v", rep2.Quarantined)
+	}
+	if sp := st2.Spec("a"); sp == nil || sp.Padding["n1"] != 2e-12 {
+		t.Fatalf("padding acked after failed compactions lost: %+v", sp)
+	}
+}
+
+// TestStoreRefusesOldLayout: nothing reads the older multi-file layout,
+// so a data directory holding it fails the open, naming the file, rather
+// than booting empty over acknowledged sessions.
+func TestStoreRefusesOldLayout(t *testing.T) {
+	for _, name := range []string{"MANIFEST", "journal-000003.wal"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("old"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := OpenStore(dir, wal.Hooks{}, 0, t.Logf)
+			if err == nil {
+				st.Close()
+				t.Fatal("open over the old layout succeeded")
+			}
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("error does not name %s: %v", name, err)
+			}
+			if _, serr := os.Stat(filepath.Join(dir, logFile)); !os.IsNotExist(serr) {
+				t.Fatalf("refused open still created %s: %v", logFile, serr)
+			}
+		})
 	}
 }
 
@@ -428,7 +406,9 @@ func TestStoreQuarantineSpec(t *testing.T) {
 	if st2.Spec("bad") != nil {
 		t.Fatal("quarantined spec resurrected on reboot")
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, snapName("bad")+".spec")); err != nil {
-		t.Fatalf("quarantined spec bytes missing: %v", err)
+	for _, f := range []string{entry.File, entry.File + ".reason.json"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Fatalf("quarantined spec evidence missing: %v", err)
+		}
 	}
 }

@@ -1,25 +1,19 @@
 package server
 
-// Tenant-fair bounded admission. The old gate was a pair of buffered
-// channels (worker semaphore + wait queue): correct, but FIFO across
-// all callers, so one bulk tenant flooding the queue starves every
-// interactive user behind it. admission keeps the same outer contract —
-// at most capacity running, at most queueCap waiting, overflow shed
-// immediately — and replaces global FIFO with:
-//
-//   - per-tenant FIFO wait queues (order within a tenant is preserved),
-//   - round-robin grants across tenants with waiters, and
-//   - a per-tenant running cap (tenantCap), so even with an empty ring a
-//     single tenant cannot occupy every worker slot.
-//
-// With tenantCap == capacity (the default) and one tenant, the behavior
-// is indistinguishable from the old gate. The tenant ID is free text
-// from the X-Snad-Tenant header; absent means the "" tenant, so
+// Tenant-fair bounded admission: at most capacity requests running, at
+// most queueCap waiting, overflow shed immediately. Waiters queue per
+// tenant and are granted round-robin across tenants under a per-tenant
+// running cap (tenantCap) — the scheduling rules live in internal/fairq,
+// which the async job pool shares. With tenantCap == capacity (the
+// default) and one tenant, the gate is plain FIFO. The tenant ID is free
+// text from the X-Snad-Tenant header; absent means the "" tenant, so
 // untagged traffic shares one fair slice instead of bypassing fairness.
 
 import (
 	"net/http"
 	"sync"
+
+	"repro/internal/fairq"
 )
 
 // TenantHeader carries the tenant ID on requests and job submissions
@@ -29,64 +23,28 @@ const TenantHeader = "X-Snad-Tenant"
 func tenantOf(r *http.Request) string { return r.Header.Get(TenantHeader) }
 
 // waiter is one queued admission request. ready closes when the slot is
-// granted; granted is guarded by the admission mutex and arbitrates the
-// grant-vs-abandon race.
+// granted.
 type waiter struct {
-	tenant  string
-	ready   chan struct{}
-	granted bool
+	tenant string
+	ready  chan struct{}
 }
 
 type admission struct {
-	capacity  int
-	queueCap  int
-	tenantCap int
+	queueCap int
 
-	mu        sync.Mutex
-	running   int
-	queued    int
-	runningBy map[string]int
-	queues    map[string][]*waiter
-	// ring lists tenants awaiting grants; dispatch round-robins over it
-	// from rr. inRing mirrors ring's membership so enqueue never adds a
-	// duplicate slot (a duplicate would hand that tenant extra turns and
-	// grow the ring without bound under drain-then-refill churn). A
-	// tenant whose queue drains by grant leaves the ring immediately;
-	// one drained by abandon leaves lazily on the next dispatch scan,
-	// with inRing keeping enqueue honest in between.
-	ring   []string
-	inRing map[string]bool
-	rr     int
+	mu sync.Mutex
+	q  *fairq.Queue[*waiter]
 }
 
 func newAdmission(capacity, queueCap, tenantCap int) *admission {
-	if tenantCap <= 0 || tenantCap > capacity {
-		tenantCap = capacity
-	}
-	return &admission{
-		capacity:  capacity,
-		queueCap:  queueCap,
-		tenantCap: tenantCap,
-		runningBy: make(map[string]int),
-		queues:    make(map[string][]*waiter),
-		inRing:    make(map[string]bool),
-	}
+	return &admission{queueCap: queueCap, q: fairq.New[*waiter](capacity, tenantCap)}
 }
 
-// tryAcquire takes a slot without waiting. It fails when capacity is
-// exhausted, the tenant is at its running cap, or the tenant already
-// has waiters (a newcomer must not barge past its own tenant's queue;
-// other tenants' waiters are at their cap or a slot would have been
-// dispatched to them already).
+// tryAcquire takes a slot without waiting (see fairq.Queue.TryAcquire).
 func (a *admission) tryAcquire(tenant string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.running >= a.capacity || a.runningBy[tenant] >= a.tenantCap || len(a.queues[tenant]) > 0 {
-		return false
-	}
-	a.running++
-	a.runningBy[tenant]++
-	return true
+	return a.q.TryAcquire(tenant)
 }
 
 // enqueue registers a waiter, or returns nil when the wait queue is at
@@ -94,16 +52,11 @@ func (a *admission) tryAcquire(tenant string) bool {
 func (a *admission) enqueue(tenant string) *waiter {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.queued >= a.queueCap {
+	if a.q.Len() >= a.queueCap {
 		return nil
 	}
 	w := &waiter{tenant: tenant, ready: make(chan struct{})}
-	if !a.inRing[tenant] {
-		a.ring = append(a.ring, tenant)
-		a.inRing[tenant] = true
-	}
-	a.queues[tenant] = append(a.queues[tenant], w)
-	a.queued++
+	a.q.Push(tenant, w)
 	// A slot may be free right now (e.g. other tenants capped); dispatch
 	// so the new waiter doesn't wait for the next release.
 	a.dispatchLocked()
@@ -116,91 +69,25 @@ func (a *admission) enqueue(tenant string) *waiter {
 func (a *admission) abandon(w *waiter) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if w.granted {
-		return false
-	}
-	q := a.queues[w.tenant]
-	for i, x := range q {
-		if x == w {
-			if len(q) == 1 {
-				delete(a.queues, w.tenant)
-			} else {
-				a.queues[w.tenant] = append(q[:i], q[i+1:]...)
-			}
-			a.queued--
-			break
-		}
-	}
-	// A drained tenant's ring entry is removed lazily by dispatch;
-	// inRing stays set until then so enqueue does not add a duplicate.
-	return true
+	return a.q.Remove(w.tenant, w)
 }
 
 // release returns a slot and dispatches the next waiter.
 func (a *admission) release(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.running--
-	if n := a.runningBy[tenant] - 1; n > 0 {
-		a.runningBy[tenant] = n
-	} else {
-		delete(a.runningBy, tenant)
-	}
+	a.q.Release(tenant)
 	a.dispatchLocked()
 }
 
-// dispatchLocked grants free slots round-robin across tenants with
-// waiters, skipping tenants at their running cap and dropping drained
-// ring entries. Callers hold a.mu.
+// dispatchLocked grants every claimable waiter. Callers hold a.mu.
 func (a *admission) dispatchLocked() {
-	for a.running < a.capacity && a.queued > 0 {
-		granted := false
-		scanned := 0
-		for scanned < len(a.ring) {
-			if a.rr >= len(a.ring) {
-				a.rr = 0
-			}
-			t := a.ring[a.rr]
-			q := a.queues[t]
-			if len(q) == 0 {
-				// Tenant drained by abandon: drop its ring slot without
-				// advancing rr (the next tenant slides into this index).
-				a.ring = append(a.ring[:a.rr], a.ring[a.rr+1:]...)
-				delete(a.queues, t)
-				delete(a.inRing, t)
-				continue
-			}
-			if a.runningBy[t] >= a.tenantCap {
-				a.rr = (a.rr + 1) % len(a.ring)
-				scanned++
-				continue
-			}
-			w := q[0]
-			if len(q) == 1 {
-				// Granting the last waiter: leave the ring now, keeping
-				// the "tenant in ring iff it has waiters (or a pending
-				// lazy removal)" invariant. rr stays put — the next
-				// tenant slides into this index.
-				delete(a.queues, t)
-				delete(a.inRing, t)
-				a.ring = append(a.ring[:a.rr], a.ring[a.rr+1:]...)
-			} else {
-				a.queues[t] = q[1:]
-				a.rr = (a.rr + 1) % len(a.ring)
-			}
-			a.queued--
-			w.granted = true
-			a.running++
-			a.runningBy[t]++
-			close(w.ready)
-			granted = true
-			break
-		}
-		if !granted {
-			// Every waiting tenant is at its cap; the next release
-			// re-dispatches.
+	for {
+		w, ok := a.q.Claim()
+		if !ok {
 			return
 		}
+		close(w.ready)
 	}
 }
 
@@ -208,5 +95,5 @@ func (a *admission) dispatchLocked() {
 func (a *admission) snapshot() (running, queued int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.running, a.queued
+	return a.q.Running(), a.q.Len()
 }

@@ -1,9 +1,9 @@
-// Package wal is the shared write-ahead-log machinery of snad's durable
-// subsystems: CRC-framed fsynced appends, torn-tail repair, fail-soft
-// scans, and the temp+fsync+rename+dirsync atomic-replace discipline.
-// It was extracted from the session store (internal/server) so the jobs
-// subsystem (internal/jobs) journals with the exact same crash-safety
-// semantics instead of a parallel implementation.
+// Package wal is the write-ahead-log machinery of snad's durable
+// subsystems. Log (log.go) is the one keyed record log that both the
+// session store (internal/server) and the job journal (internal/jobs)
+// are clients of; it is built from the primitives in this file:
+// CRC-framed fsynced appends, torn-tail repair, fail-soft scans, and the
+// temp+fsync+rename+dirsync atomic-replace discipline.
 //
 // A journal is an append-only sequence of framed payloads. Every frame
 // is
@@ -16,16 +16,15 @@
 // whose CRC does not match is corruption. The distinction matters for
 // recovery policy — a torn tail is the expected signature of a crash
 // and is silently discarded after replaying everything before it, while
-// a CRC mismatch in the middle of the file is quarantined with a
-// reason.
+// a CRC mismatch is quarantined with a reason.
 //
-// Payloads are owner-defined (both current owners use JSON record
-// objects — a few bytes over a binary encoding, but on-disk journals
-// stay inspectable with nothing but cat, worth it at lifecycle-event
-// rates).
+// Log payloads are JSON record objects — a few bytes over a binary
+// encoding, but on-disk logs stay inspectable with nothing but cat,
+// worth it at lifecycle-event rates.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,7 +63,9 @@ type FrameError struct {
 func (e *FrameError) Error() string { return e.Reason }
 
 // ReadFrame reads one frame from r. io.EOF means a clean end exactly at
-// a frame boundary; a *FrameError reports a torn tail or corruption.
+// a frame boundary; a *FrameError reports a torn tail or corruption. On
+// a CRC mismatch the payload as read comes back with the error, so a
+// scanner can step over the frame.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -83,7 +84,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	}
 	want := binary.LittleEndian.Uint32(hdr[4:8])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, &FrameError{Reason: fmt.Sprintf("frame CRC mismatch: stored %08x, computed %08x", want, got)}
+		return payload, &FrameError{Reason: fmt.Sprintf("frame CRC mismatch: stored %08x, computed %08x", want, got)}
 	}
 	return payload, nil
 }
@@ -112,7 +113,6 @@ type Hooks struct {
 // records a replay would never see.
 type Writer struct {
 	f     *os.File
-	path  string
 	hooks Hooks
 	// off is the file offset after the last fully synced frame.
 	off int64
@@ -132,15 +132,8 @@ func OpenWriter(path string, hooks Hooks) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, path: path, hooks: hooks, off: fi.Size()}, nil
+	return &Writer{f: f, hooks: hooks, off: fi.Size()}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Writer) Path() string { return j.path }
-
-// Sync fsyncs the underlying file (used right after creating a fresh
-// journal, before a manifest points at it).
-func (j *Writer) Sync() error { return j.f.Sync() }
 
 // Append frames, writes, and fsyncs one payload. On failure the partial
 // frame is truncated away so the tail stays replayable; the caller
@@ -207,6 +200,8 @@ func (j *Writer) Close() error { return j.f.Close() }
 type ScanResult struct {
 	// Frames holds every payload that read back intact, in file order.
 	Frames [][]byte
+	// Skipped lists the rotten frames stepped over, in file order.
+	Skipped []SkippedFrame
 	// Torn reports the file ended in a partial frame (crash mid-append).
 	Torn bool
 	// Corrupt is the frame-level reason reading stopped before EOF for a
@@ -216,6 +211,18 @@ type ScanResult struct {
 	// truncating to it removes a torn or corrupt tail without losing any
 	// readable record.
 	GoodOffset int64
+}
+
+// SkippedFrame is a frame that failed its CRC although its length
+// header held: the frame after it read back intact, so the rot is
+// confined to this one frame and scanning went on past it.
+type SkippedFrame struct {
+	// Before is the index in Frames of the intact frame that follows.
+	Before int
+	// Offset is the frame's file offset; Payload its bytes as read.
+	Offset  int64
+	Payload []byte
+	Reason  string
 }
 
 // Scan reads every readable frame of the journal at path. A missing
@@ -235,78 +242,107 @@ func Scan(path string) (*ScanResult, error) {
 	scan := &ScanResult{}
 	for {
 		payload, err := ReadFrame(f)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return scan, nil
-			}
-			var fe *FrameError
-			if errors.As(err, &fe) && fe.Torn {
-				scan.Torn = true
-			} else {
-				scan.Corrupt = err.Error()
-			}
+		if err == nil {
+			scan.add(payload)
+			continue
+		}
+		if errors.Is(err, io.EOF) {
 			return scan, nil
 		}
-		scan.Frames = append(scan.Frames, payload)
-		scan.GoodOffset += int64(FrameHeaderLen + len(payload))
+		var fe *FrameError
+		errors.As(err, &fe)
+		if payload != nil {
+			// A CRC mismatch under an intact length header: if the next
+			// frame reads back whole, only this frame rotted. Otherwise
+			// nothing past it can be trusted to be framed.
+			if next, nerr := ReadFrame(f); nerr == nil {
+				scan.Skipped = append(scan.Skipped, SkippedFrame{Before: len(scan.Frames), Offset: scan.GoodOffset, Payload: payload, Reason: fe.Reason})
+				scan.GoodOffset += int64(FrameHeaderLen + len(payload))
+				scan.add(next)
+				continue
+			}
+		}
+		if fe.Torn {
+			scan.Torn = true
+		} else {
+			scan.Corrupt = fe.Reason
+		}
+		return scan, nil
 	}
 }
 
-// WriteFileAtomic lands data at path through the
+func (s *ScanResult) add(payload []byte) {
+	s.Frames = append(s.Frames, payload)
+	s.GoodOffset += int64(FrameHeaderLen + len(payload))
+}
+
+// WriteFileAtomic lands what write produces at path through the
 // temp+fsync+rename+dirsync discipline, with the fault hooks at each
 // stage. A crash at any instant leaves either the old file or the new
-// one, never a hybrid; callers sweep stray *.tmp files on boot.
-func WriteFileAtomic(path string, data []byte, hooks Hooks) error {
+// one, never a hybrid; Open sweeps a stray temp file on boot. renamed
+// reports whether the rename committed: an error after it (the
+// directory fsync) leaves path naming the new file all the same.
+func WriteFileAtomic(path string, hooks Hooks, write func(io.Writer) error) (renamed bool, err error) {
 	tmp := path + ".tmp"
-	keep := len(data)
-	var ferr error
-	if hooks.BeforeWrite != nil {
-		keep, ferr = hooks.BeforeWrite("write", len(data))
-		if keep > len(data) {
-			keep = len(data)
-		}
-	}
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if keep > 0 {
-		if _, werr := f.Write(data[:keep]); werr != nil {
-			f.Close()
-			return werr
-		}
-	}
-	if ferr != nil {
+	if err := writeSynced(f, hooks, write); err != nil {
 		f.Close()
-		return ferr
-	}
-	if hooks.BeforeSync != nil {
-		if err := hooks.BeforeSync("write"); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+		return false, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return false, err
 	}
 	if hooks.BeforeRename != nil {
 		if err := hooks.BeforeRename("write"); err != nil {
-			return err
+			return false, err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return err
+		return false, err
 	}
-	return SyncDir(filepath.Dir(path))
+	return true, syncDir(filepath.Dir(path))
 }
 
-// SyncDir fsyncs a directory so a rename or unlink inside it is
-// durable.
-func SyncDir(dir string) error {
+// writeSynced streams write's output into f through a buffer and
+// fsyncs it. BeforeWrite sees the size once it is known; a torn write
+// cuts the file back to the prefix it returns.
+func writeSynced(f *os.File, hooks Hooks, write func(io.Writer) error) error {
+	bw := bufio.NewWriter(f)
+	if err := write(bw); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if hooks.BeforeWrite != nil {
+		size, err := f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return err
+		}
+		keep, ferr := hooks.BeforeWrite("write", int(size))
+		if int64(keep) < size {
+			if err := f.Truncate(int64(keep)); err != nil {
+				return err
+			}
+		}
+		if ferr != nil {
+			return ferr
+		}
+	}
+	if hooks.BeforeSync != nil {
+		if err := hooks.BeforeSync("write"); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
+}
+
+// syncDir fsyncs a directory so a rename in it is durable. It is a
+// variable so tests can fail it after a rename has committed.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -145,11 +147,11 @@ func TestScanMissingFileIsEmpty(t *testing.T) {
 func TestWriteFileAtomicRenameFaultStrandsTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "target")
-	err := WriteFileAtomic(path, []byte("data"), Hooks{
+	renamed, err := WriteFileAtomic(path, Hooks{
 		BeforeRename: func(op string) error { return fmt.Errorf("injected crash before rename") },
-	})
-	if err == nil {
-		t.Fatal("injected rename fault unexpectedly succeeded")
+	}, writeString("data"))
+	if err == nil || renamed {
+		t.Fatalf("injected rename fault: renamed %v, err %v", renamed, err)
 	}
 	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
 		t.Fatalf("target exists after failed rename: %v", serr)
@@ -157,11 +159,72 @@ func TestWriteFileAtomicRenameFaultStrandsTemp(t *testing.T) {
 	if _, serr := os.Stat(path + ".tmp"); serr != nil {
 		t.Fatalf("temp file not stranded (the crash signature): %v", serr)
 	}
-	if err := WriteFileAtomic(path, []byte("data"), Hooks{}); err != nil {
-		t.Fatal(err)
+	if renamed, err := WriteFileAtomic(path, Hooks{}, writeString("data")); err != nil || !renamed {
+		t.Fatalf("renamed %v, err %v", renamed, err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil || string(got) != "data" {
 		t.Fatalf("read back %q, %v", got, err)
+	}
+}
+
+// A torn atomic write leaves a temp file holding only the prefix the
+// hook allowed, and the target untouched.
+func TestWriteFileAtomicTornWriteKeepsPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "target")
+	_, err := WriteFileAtomic(path, Hooks{
+		BeforeWrite: func(op string, size int) (int, error) { return size / 2, errors.New("injected torn write") },
+	}, writeString("abcdefgh"))
+	if err == nil {
+		t.Fatal("injected torn write unexpectedly succeeded")
+	}
+	if got, _ := os.ReadFile(path + ".tmp"); string(got) != "abcd" {
+		t.Fatalf("temp file holds %q, want the 4-byte prefix", got)
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Fatalf("target exists after a torn write: %v", serr)
+	}
+}
+
+// A CRC mismatch under an intact length header, followed by a frame
+// that reads back whole, loses only the rotten frame; a rotten last
+// frame is still a corrupt tail.
+func TestScanStepsOverOneRottenFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	a, b, c := Frame([]byte("a")), Frame([]byte("rotten")), Frame([]byte("c"))
+	b[FrameHeaderLen+1] ^= 0xff
+	data := append(append(append([]byte(nil), a...), b...), c...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scan, err := Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan.Frames) != 2 || string(scan.Frames[0]) != "a" || string(scan.Frames[1]) != "c" || scan.Corrupt != "" || scan.Torn {
+		t.Fatalf("scan = %+v", scan)
+	}
+	if len(scan.Skipped) != 1 || scan.Skipped[0].Before != 1 || scan.Skipped[0].Offset != int64(len(a)) || !strings.Contains(scan.Skipped[0].Reason, "CRC") {
+		t.Fatalf("skipped = %+v", scan.Skipped)
+	}
+	if scan.GoodOffset != int64(len(data)) {
+		t.Fatalf("GoodOffset %d, want %d", scan.GoodOffset, len(data))
+	}
+
+	if err := os.WriteFile(path, data[:len(a)+len(b)], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if scan, err = Scan(path); err != nil {
+		t.Fatal(err)
+	}
+	if len(scan.Frames) != 1 || len(scan.Skipped) != 0 || !strings.Contains(scan.Corrupt, "CRC") || scan.GoodOffset != int64(len(a)) {
+		t.Fatalf("rotten last frame: scan = %+v", scan)
+	}
+}
+
+func writeString(s string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
 	}
 }

@@ -22,8 +22,8 @@ import (
 //	crashrename the temp file is fully written and synced but the rename
 //	            never happens — a crash between temp and rename
 //
-// Operations the rules select on: "append" (journal frame append),
-// "write" (atomic snapshot/manifest write), or "*" for both.
+// Operations the rules select on: "append" (log frame append), "write"
+// (compaction's atomic replace of the log file), or "*" for both.
 //
 // The struct is safe for concurrent use; the store may be called from
 // many request goroutines.
