@@ -159,11 +159,12 @@ type analyzer struct {
 	degraded []bool
 	diags    []Diag
 	// Reusable buffers: the serial-path combiner scratch, per-worker
-	// combiner scratch for parallel waves, and the wave work/result
-	// arrays.
+	// combiner scratch for parallel waves, and the wave work, change, and
+	// result arrays.
 	scratch  combiner
 	wscratch []combiner
 	todo     []int
+	changed  []int
 	evals    []netEval
 	evalErrs []error
 	// Incremental indexes, built lazily on the first dirty-set query.
@@ -495,15 +496,15 @@ func (a *analyzer) runFixpoint(ctx context.Context, res *Result, dirty map[strin
 			return err
 		}
 		iterations++
-		changed := false
+		changed := a.changed[:0]
 		for _, w := range a.waves {
-			wc, err := a.evalWave(ctx, res, w, dirty)
-			if err != nil {
+			var err error
+			if changed, err = a.evalWave(ctx, res, w, dirty, changed); err != nil {
 				return err
 			}
-			changed = changed || wc
 		}
-		if !changed {
+		a.changed = changed
+		if len(changed) == 0 {
 			converged = true
 			break
 		}
@@ -518,13 +519,16 @@ func (a *analyzer) runFixpoint(ctx context.Context, res *Result, dirty map[strin
 	return nil
 }
 
-// evalWave evaluates one level wavefront. The serial path is the
-// reference; the parallel path computes the same per-net evaluations
-// concurrently (safe because a wave's nets only read strictly earlier
-// waves) and then commits them serially in victim order, so results,
-// statistics, diagnostics, and fail-fast error selection are identical to
-// the serial engine.
-func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[string]bool) (bool, error) {
+// evalWave evaluates one level wavefront, restricted to the nets in dirty
+// (nil = every net; a shard engine passes its owned set), and appends the
+// order positions of the nets whose committed combination changed to
+// changed — also on error, since the commits before it stand. The serial
+// path is the reference; the parallel path computes the same per-net
+// evaluations concurrently (safe because a wave's nets only read strictly
+// earlier waves) and then commits them serially in victim order, so
+// results, statistics, diagnostics, and fail-fast error selection are
+// identical to the serial engine.
+func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[string]bool, changed []int) ([]int, error) {
 	todo := a.todo[:0]
 	for i := w.lo; i < w.hi; i++ {
 		if dirty == nil || dirty[a.order[i].Name] {
@@ -533,14 +537,13 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 	}
 	a.todo = todo
 	if len(todo) == 0 {
-		return false, nil
+		return changed, nil
 	}
 	workers := a.opts.Workers
 	if workers > len(todo) {
 		workers = len(todo)
 	}
 	if w.serial || workers <= 1 {
-		changed := false
 		for k, oi := range todo {
 			if k&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
@@ -554,7 +557,9 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 			if cerr != nil {
 				return changed, cerr
 			}
-			changed = changed || c
+			if c {
+				changed = append(changed, oi)
+			}
 		}
 		return changed, nil
 	}
@@ -605,9 +610,8 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return false, err
+		return changed, err
 	}
-	changed := false
 	for i, oi := range todo {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
@@ -630,7 +634,9 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 		if cerr != nil {
 			return changed, cerr
 		}
-		changed = changed || c
+		if c {
+			changed = append(changed, oi)
+		}
 	}
 	return changed, nil
 }

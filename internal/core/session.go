@@ -50,16 +50,8 @@ func NewSession(ctx context.Context, b *bind.Design, opts Options) (*Session, er
 	// iterative loop does: padding applied later is what the incremental
 	// timing update reads.
 	opts.STA.WindowPadding = padding
-	a, err := newAnalyzer(ctx, b, opts)
+	a, res, err := firstRound(ctx, b, opts)
 	if err != nil {
-		return nil, err
-	}
-	res := a.newResult()
-	if err := a.runFixpoint(ctx, res, nil); err != nil {
-		return nil, err
-	}
-	a.finishNoise(res)
-	if err := a.delayPass(ctx, nil); err != nil {
 		return nil, err
 	}
 	return &Session{a: a, res: res, padding: padding}, nil
@@ -122,27 +114,9 @@ func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*R
 	for _, net := range changed {
 		s.padding[net] = padding[net]
 	}
-	if err := s.incremental(ctx, changed); err != nil {
+	if err := s.a.paddingRound(ctx, s.res, changed); err != nil {
 		s.broken = ErrSessionBroken
 		return nil, len(changed), err
 	}
 	return s.res, len(changed), nil
-}
-
-// incremental is one dirty-set round: the same call sequence as a later
-// round of AnalyzeIterativeCtx.
-func (s *Session) incremental(ctx context.Context, changed []string) error {
-	staDirty, err := s.a.staRes.UpdatePaddingCtx(ctx, s.a.opts.STA, changed)
-	if err != nil {
-		return err
-	}
-	reprep, evalDirty, delayDirty := s.a.dirtyAfterPadding(staDirty)
-	if err := s.a.reprepare(ctx, reprep); err != nil {
-		return err
-	}
-	if err := s.a.runFixpoint(ctx, s.res, evalDirty); err != nil {
-		return err
-	}
-	s.a.finishNoise(s.res)
-	return s.a.delayPass(ctx, delayDirty)
 }

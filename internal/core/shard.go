@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/netlist"
-	"repro/internal/units"
 )
 
 // Sharded analysis support. A shard owns a subset of the victim nets but
@@ -21,15 +20,10 @@ import (
 // ships exactly those fanin combinations between shards, wave by wave, and
 // the resulting global fixpoint is byte-identical to runFixpoint.
 //
-// ShardEngine deliberately reuses the serial engine's own loops (evalNet,
-// commitEval, reprepare, delayPass) rather than re-implementing them: the
-// equivalence argument is "same code over the same inputs in the same
-// order", not a parallel implementation to keep in sync.
-
-// PaddingTol is the padding-convergence tolerance of the iterative loop
-// (0.01 ps), exported so the distributed coordinator grows padding with
-// exactly the single-process rule.
-const PaddingTol = units.Pico / 100
+// ShardEngine deliberately reuses the serial engine's own code (evalWave,
+// dirtyAfterPadding, reprepare, delayPass) rather than re-implementing
+// it: the equivalence argument is "same code over the same inputs in the
+// same order", not a parallel implementation to keep in sync.
 
 // DefaultMaxIter resolves Options.MaxIter the way the engine does.
 func DefaultMaxIter(maxIter int) int {
@@ -37,14 +31,6 @@ func DefaultMaxIter(maxIter int) int {
 		return 16
 	}
 	return maxIter
-}
-
-// DefaultMaxRounds resolves AnalyzeIterative's maxRounds default.
-func DefaultMaxRounds(maxRounds int) int {
-	if maxRounds <= 0 {
-		return 8
-	}
-	return maxRounds
 }
 
 // EffectiveVdd resolves the supply voltage an analysis of this design will
@@ -196,13 +182,15 @@ func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 
 // WaveUpdate is one net's committed combination change from an EvalWave
 // call: the coordinator applies it to its authoritative state and forwards
-// it to every shard that imports the net.
+// it to every shard that imports the net (as a boundary import, or as a
+// restored value when an engine is rebuilt).
 type WaveUpdate struct {
 	Net  string
 	Comb [2]Combined
 }
 
-// ShardCollect is one shard's final contribution to the merged result.
+// ShardCollect is one shard's final contribution to the merged result —
+// the response of the shard protocol's collect op.
 type ShardCollect struct {
 	// Nets holds the owned victims' final noise records.
 	Nets map[string]*NetNoise
@@ -290,62 +278,46 @@ func (e *ShardEngine) SetComb(net string, comb [2]Combined) bool {
 	return true
 }
 
-// EvalWave evaluates the owned slice of one wave, in global evaluation
-// order, through the serial engine's own evalNet/commitEval pair, and
-// returns the nets whose committed combination changed. The loop is the
-// serial reference loop of evalWave restricted to owned nets; fail-soft
-// degradation, statistics, and the change test are therefore identical.
-// On error the updates committed so far are still returned — an aborted
-// attempt has already mutated the engine, and the runner must remember
-// those commits so a retried dispatch reports them rather than losing
-// them (a re-evaluated net compares equal and stays silent).
+// EvalWave evaluates the owned slice of one wave through the serial
+// engine's own evalWave, with the owned set as its filter, and returns the
+// nets whose committed combination changed. Evaluation order, fail-soft
+// degradation, statistics, and the change test are therefore those of the
+// single-process engine. On error the updates committed so far are still
+// returned — an aborted attempt has already mutated the engine, and the
+// runner must remember those commits so a retried dispatch reports them
+// rather than losing them (a re-evaluated net compares equal and stays
+// silent).
 func (e *ShardEngine) EvalWave(ctx context.Context, wi int) ([]WaveUpdate, error) {
 	if wi < 0 || wi >= len(e.a.waves) {
 		return nil, fmt.Errorf("core: shard wave %d out of range", wi)
 	}
-	w := e.a.waves[wi]
-	var ups []WaveUpdate
-	k := 0
-	for i := w.lo; i < w.hi; i++ {
-		net := e.a.order[i]
-		if !e.owned[net.Name] {
-			continue
-		}
-		if k&0x3f == 0 {
-			if err := ctx.Err(); err != nil {
-				return ups, err
-			}
-		}
-		k++
-		nn := e.res.byID[net.ID()]
-		ev, err := e.a.evalNet(i, net, nn, e.res, &e.a.scratch)
-		c, cerr := e.a.commitEval(i, net, nn, ev, err)
-		if cerr != nil {
-			return ups, cerr
-		}
-		if c {
-			ups = append(ups, WaveUpdate{Net: net.Name, Comb: nn.Comb})
-		}
+	changed, err := e.a.evalWave(ctx, e.res, e.a.waves[wi], e.owned, nil)
+	ups := make([]WaveUpdate, len(changed))
+	for i, oi := range changed {
+		name := e.a.order[oi].Name
+		ups[i] = WaveUpdate{Net: name, Comb: e.res.Nets[name].Comb}
 	}
-	return ups, nil
+	return ups, err
 }
 
 // ApplyRound applies one round of padding growth: the changed nets' new
 // absolute padding values are written into the timing options, the timing
 // annotation is updated in place (full design, exactly as the
-// single-process iterative loop does), and every owned victim's coupled
-// events are rebuilt. Re-preparing a victim whose aggressor timing did not
-// move rebuilds identical events, so the blanket re-prepare is equivalent
-// to the single-process dirty-set one; it just trades a little work for
-// not needing the aggressor index on the coordinator.
+// single-process loop does), and the owned victims with a re-timed
+// aggressor get their coupled events rebuilt. dirtyAfterPadding indexes
+// only prepared victims' couplings, and a shard prepares only what it
+// owns, so its re-prepare set is already the single-process one
+// restricted to owned nets.
 func (e *ShardEngine) ApplyRound(ctx context.Context, changed []string, padding map[string]float64) error {
 	for _, net := range changed {
 		e.a.opts.STA.WindowPadding[net] = padding[net]
 	}
-	if _, err := e.a.staRes.UpdatePaddingCtx(ctx, e.a.opts.STA, changed); err != nil {
+	staDirty, err := e.a.staRes.UpdatePaddingCtx(ctx, e.a.opts.STA, changed)
+	if err != nil {
 		return err
 	}
-	return e.a.reprepare(ctx, e.ownedOrder)
+	reprep, _, _ := e.a.dirtyAfterPadding(staDirty)
+	return e.a.reprepare(ctx, reprep)
 }
 
 // DelayImpacts runs the crosstalk delta-delay pass over the owned victims

@@ -461,80 +461,17 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 		s.installRunner(req.Token, req.Shard, runner)
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	case shard.OpEval:
-		var req shard.EvalRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("eval on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		resp, err := runner.Eval(ctx, &req)
-		if err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		req := &shard.EvalRequest{}
+		s.engineOp(ctx, w, r, op, req, &req.Route, &shard.EvalResponse{})
 	case shard.OpRound:
-		var req shard.RoundRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("round on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		if err := runner.Round(ctx, &req); err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		req := &shard.RoundRequest{}
+		s.engineOp(ctx, w, r, op, req, &req.Route, nil)
 	case shard.OpDelay:
-		var req shard.DelayRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("delay on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		resp, err := runner.Delay(ctx, &req)
-		if err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		req := &shard.DelayRequest{}
+		s.engineOp(ctx, w, r, op, req, &req.Route, &shard.DelayResponse{})
 	case shard.OpCollect:
-		var req shard.CollectRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("collect on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		resp, err := runner.Collect(ctx, &req)
-		if err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		req := &shard.CollectRequest{}
+		s.engineOp(ctx, w, r, op, req, &req.Route, &core.ShardCollect{})
 	case shard.OpClose:
 		var req shard.CloseRequest
 		if err := decodeBody(r.Body, &req); err != nil {
@@ -550,6 +487,31 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// engineOp decodes one engine op's request into req (whose embedded
+// route is rt) and runs it on the hosted runner, answering with resp, or
+// a bare ok when the op has no response body.
+func (s *Server) engineOp(ctx context.Context, w http.ResponseWriter, r *http.Request, op string, req any, rt *shard.Route, resp any) {
+	if err := decodeBody(r.Body, req); err != nil {
+		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
+		return
+	}
+	runner := s.runnerFor(rt.Token, rt.Shard)
+	if runner == nil {
+		s.writeErr(w, http.StatusBadRequest, ErrorInfo{
+			Kind: "shard_fatal", Message: fmt.Sprintf("%s on uninitialized shard %s/%d", op, rt.Token, rt.Shard),
+		}, 0)
+		return
+	}
+	if err := runner.Do(ctx, req, resp); err != nil {
+		s.writeShardErr(w, err)
+		return
+	}
+	if resp == nil {
+		resp = map[string]string{"status": "ok"}
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
 // --- snad as coordinator: the iterate endpoint ---
 
 func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
@@ -559,85 +521,74 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
-		workers := s.healthyWorkers()
-		if !req.Local && len(workers) > 0 && ss.spec != nil {
-			return s.iterateDistributed(ctx, ss, &req, workers)
-		}
-		return s.iterateLocal(ctx, ss, &req)
+		return s.iterate(ctx, ss, &req, "iterate-"+ss.name, filepath.Join(s.cfg.DataDir, "iterate"), false)
 	})
 }
 
-func (s *Server) iterateLocal(ctx context.Context, ss *session, req *IterateRequest) (*AnalyzeResponse, error) {
-	out, err := core.AnalyzeIterativeCtx(ctx, ss.b, ss.opts, req.MaxRounds)
-	if err != nil {
-		return nil, err
+// iterate runs the joint noise–delay fixpoint for a session, for the
+// iterate handler and iterate jobs alike. It fans out through shard.Run
+// when the request allows it, workers are healthy, and the session kept
+// the sources workers need. Otherwise it runs in-process: directly
+// through core.AnalyzeIterativeCtx, or, with checkpointLocal, through
+// shard.Run over one in-process worker — byte-identical when healthy,
+// and it grants round-boundary checkpoints. token names the run on
+// workers and keys its checkpoint, which a durable server keeps under
+// ckptDir so a restart resumes mid-fixpoint instead of starting over.
+func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token, ckptDir string, checkpointLocal bool) (*AnalyzeResponse, error) {
+	workers := s.healthyWorkers()
+	distributed := !req.Local && len(workers) > 0 && ss.spec != nil
+	info := &IterateInfo{Distributed: distributed}
+	var res *core.IterativeResult
+	if !distributed && !checkpointLocal {
+		out, err := core.AnalyzeIterativeCtx(ctx, ss.b, ss.opts, req.MaxRounds)
+		if err != nil {
+			return nil, err
+		}
+		res = out
+	} else {
+		cfg := shard.Config{
+			B:         ss.b,
+			Opts:      ss.opts,
+			Workers:   workers,
+			Shards:    req.Shards,
+			Token:     token,
+			MaxRounds: req.MaxRounds,
+			// Each dispatch gets the same ceiling a worker enforces on its
+			// own requests; a hung worker is declared lost instead of
+			// pinning the run forever.
+			DispatchTimeout: s.cfg.MaxRequestTimeout,
+			Logf:            s.cfg.Logf,
+		}
+		if distributed {
+			cfg.Design = designSpecOf(ss.spec)
+			if cfg.Shards <= 0 {
+				cfg.Shards = s.cfg.Shards
+			}
+			if cfg.Shards <= 0 {
+				cfg.Shards = len(workers)
+			}
+		} else {
+			cfg.Workers = []shard.Worker{shard.NewInProc("local", func(context.Context) (*bind.Design, error) {
+				return ss.b, nil
+			}, ss.opts)}
+			cfg.Shards = 1
+		}
+		if s.store != nil {
+			cfg.Checkpointer = &shard.FileCheckpointer{Dir: ckptDir}
+		}
+		out, err := shard.Run(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res = &out.IterativeResult
+		info.Workers, info.Shards = len(cfg.Workers), cfg.Shards
+		info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, out.Resumed
 	}
-	resp := &AnalyzeResponse{
-		Session: ss.name,
-		Noise:   report.BuildJSON(out.Noise),
-		Iterate: &IterateInfo{
-			Rounds:        out.Rounds,
-			Converged:     out.Converged,
-			Diverging:     out.Diverging,
-			DivergeReason: out.DivergeReason,
-		},
-	}
+	info.Rounds, info.Converged = res.Rounds, res.Converged
+	info.Diverging, info.DivergeReason = res.Diverging, res.DivergeReason
+	resp := &AnalyzeResponse{Session: ss.name, Noise: report.BuildJSON(res.Noise), Iterate: info}
 	if req.Delay {
-		resp.Delay = report.BuildDelayJSON(out.Delay)
-	}
-	return resp, nil
-}
-
-func (s *Server) iterateDistributed(ctx context.Context, ss *session, req *IterateRequest, workers []shard.Worker) (*AnalyzeResponse, error) {
-	shards := req.Shards
-	if shards <= 0 {
-		shards = s.cfg.Shards
-	}
-	if shards <= 0 {
-		shards = len(workers)
-	}
-	cfg := shard.Config{
-		B:         ss.b,
-		Opts:      ss.opts,
-		Workers:   workers,
-		Shards:    shards,
-		Token:     "iterate-" + ss.name,
-		Design:    designSpecOf(ss.spec),
-		MaxRounds: req.MaxRounds,
-		// Each dispatch gets the same ceiling a worker enforces on its own
-		// requests; a hung worker is declared lost instead of pinning the
-		// run forever.
-		DispatchTimeout: s.cfg.MaxRequestTimeout,
-		Logf:            s.cfg.Logf,
-	}
-	if s.store != nil {
-		// Round state persists next to the session journal: a coordinator
-		// restart resumes a mid-fixpoint iterate from its last completed
-		// round instead of redoing the run.
-		cfg.Checkpointer = &shard.FileCheckpointer{Dir: filepath.Join(s.cfg.DataDir, "iterate")}
-	}
-	out, err := shard.Run(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	resp := &AnalyzeResponse{
-		Session: ss.name,
-		Noise:   report.BuildJSON(out.Noise),
-		Iterate: &IterateInfo{
-			Rounds:          out.Rounds,
-			Converged:       out.Converged,
-			Diverging:       out.Diverging,
-			DivergeReason:   out.DivergeReason,
-			Distributed:     true,
-			Workers:         len(workers),
-			Shards:          shards,
-			Reassigns:       out.Reassigns,
-			AbandonedShards: out.AbandonedShards,
-			Resumed:         out.Resumed,
-		},
-	}
-	if req.Delay {
-		resp.Delay = report.BuildDelayJSON(out.Delay)
+		resp.Delay = report.BuildDelayJSON(res.Delay)
 	}
 	return resp, nil
 }

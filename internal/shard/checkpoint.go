@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Checkpoint is the coordinator's durable round state: everything needed
@@ -126,25 +128,34 @@ func (f *FileCheckpointer) Clear(token string) error {
 	return nil
 }
 
+// state is the loop state the checkpoint was saved from.
+func (cp *Checkpoint) state() core.RoundState {
+	st := core.RoundState{Round: cp.Round, Padding: padMap(cp.Padding), PrevGrowth: math.Inf(1), Stalled: cp.Stalled}
+	if cp.PrevGrowth != nil {
+		st.PrevGrowth = *cp.PrevGrowth
+	}
+	return st
+}
+
 // saveCheckpoint records one completed round, fail-soft: a checkpointing
 // failure must not take down a healthy analysis, so it only logs.
-func (r *run) saveCheckpoint(round int, prevGrowth float64, stalled int) {
+func (r *run) saveCheckpoint(st core.RoundState) {
 	c := r.cfg.Checkpointer
 	if c == nil {
 		return
 	}
 	cp := &Checkpoint{
 		Token:   r.cfg.Token,
-		Round:   round,
-		Padding: padEntries(r.padding),
-		Stalled: stalled,
+		Round:   st.Round,
+		Padding: padEntries(st.Padding),
+		Stalled: st.Stalled,
 		SavedAt: time.Now().UTC().Format(time.RFC3339Nano),
 	}
-	if !math.IsInf(prevGrowth, 1) {
-		pg := prevGrowth
+	if !math.IsInf(st.PrevGrowth, 1) {
+		pg := st.PrevGrowth
 		cp.PrevGrowth = &pg
 	}
 	if err := c.Save(cp); err != nil {
-		r.cfg.Logf("shard: checkpoint save for round %d failed (continuing): %v", round, err)
+		r.cfg.Logf("shard: checkpoint save for round %d failed (continuing): %v", st.Round, err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/units"
 )
 
 // Config parameterizes one coordinated distributed analysis.
@@ -23,7 +21,8 @@ type Config struct {
 	B *bind.Design
 	// Opts are the analysis options, shared verbatim with every engine.
 	// MaxIter, NoPropagation, Mode, and RoundBudget also steer the
-	// coordinator's own loop so it replicates AnalyzeIterative exactly.
+	// coordinator's within-round fixpoint and its core.RoundLoop exactly
+	// as they steer AnalyzeIterative.
 	Opts core.Options
 	// Workers are the execution backends. Shards are assigned round-robin
 	// and reassigned to surviving workers when one is lost.
@@ -65,15 +64,7 @@ type Config struct {
 // the same design and options; under worker loss it is a sound
 // conservative report with the loss recorded in Noise.Diags.
 type Outcome struct {
-	Noise *core.Result
-	Delay *core.DelayResult
-	// Padding, Rounds, Converged, Diverging, and DivergeReason mirror
-	// core.IterativeResult.
-	Padding       map[string]float64
-	Rounds        int
-	Converged     bool
-	Diverging     bool
-	DivergeReason string
+	core.IterativeResult
 	// Degraded reports any fail-soft degradation, including abandoned
 	// shards (equivalent to len(Noise.Diags) > 0).
 	Degraded bool
@@ -194,114 +185,67 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 		}
 	}
 
-	out := &Outcome{Padding: r.padding}
-	startRound := 1
-	prevGrowth := math.Inf(1)
-	stalled := 0
+	// Whatever the exit — success, cancellation, a fatal analysis error —
+	// the workers must drop this token's engines: nothing else frees them
+	// (a snad worker would also keep the token's design-cache reference,
+	// pinning the design against budget eviction, until shutdown).
+	defer r.closeAll()
+
+	st := core.RoundState{Padding: r.padding}
+	resumed := false
 	if cfg.Checkpointer != nil {
 		cp, err := cfg.Checkpointer.Load(cfg.Token)
 		switch {
 		case err != nil:
 			cfg.Logf("shard: checkpoint load failed, starting fresh: %v", err)
 		case cp != nil:
-			for _, e := range cp.Padding {
-				r.padding[e.Net] = e.Pad
-			}
-			startRound = cp.Round + 1
-			if cp.PrevGrowth != nil {
-				prevGrowth = *cp.PrevGrowth
-			}
-			stalled = cp.Stalled
-			out.Resumed = true
+			st, resumed = cp.state(), true
+			r.padding = st.Padding
 			cfg.Logf("shard: resuming after round %d (%d padded nets)", cp.Round, len(cp.Padding))
 		}
 	}
 
-	maxRounds := core.DefaultMaxRounds(cfg.MaxRounds)
 	var (
-		changed    []string
 		impacts    []core.DelayImpact
 		iterations int
 		converged  bool
-		completed  bool
 	)
-	// The round loop below replicates AnalyzeIterativeCtx verbatim —
-	// growth rule, watchdog, and diverge reasons — with the three engine
-	// phases (fixpoint, delay, padding update) dispatched to shards.
-	for round := startRound; round <= maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if round == startRound {
-			// First (or resumed) round: build every shard's engine, seeded
-			// with the cumulative padding.
-			if err := r.initAll(ctx); err != nil {
+	// The round loop is core's own; a round here is the three engine
+	// phases (build or padding update, fixpoint, delay) dispatched to
+	// shards.
+	loop := core.RoundLoop{
+		MaxRounds:   cfg.MaxRounds,
+		RoundBudget: cfg.Opts.RoundBudget,
+		Round: func(ctx context.Context, _ int, changed []string) ([]core.DelayImpact, error) {
+			// The first (or resumed) round builds every shard's engine,
+			// seeded with the cumulative padding.
+			var err error
+			if changed == nil {
+				err = r.initAll(ctx)
+			} else {
+				err = r.applyRoundAll(ctx, changed)
+			}
+			if err != nil {
 				return nil, err
 			}
-		} else if err := r.applyRoundAll(ctx, changed); err != nil {
-			return nil, err
-		}
-		var err error
-		if iterations, converged, err = r.fixpoint(ctx); err != nil {
-			return nil, err
-		}
-		if impacts, err = r.delayAll(ctx); err != nil {
-			return nil, err
-		}
-		out.Rounds = round
-		grew := false
-		var growth float64
-		changed = changed[:0]
-		for _, im := range impacts {
-			if im.Delta > r.padding[im.Net]+core.PaddingTol {
-				growth = math.Max(growth, im.Delta-r.padding[im.Net])
-				r.padding[im.Net] = im.Delta
-				changed = append(changed, im.Net)
-				grew = true
+			if iterations, converged, err = r.fixpoint(ctx); err != nil {
+				return nil, err
 			}
-		}
-		if !grew {
-			out.Converged = true
-			completed = true
-			break
-		}
-		if cfg.Opts.RoundBudget > 0 {
-			if elapsed := time.Since(start); elapsed > cfg.Opts.RoundBudget {
-				out.Diverging = true
-				out.DivergeReason = fmt.Sprintf("round %d took %s, over the %s budget",
-					round, elapsed.Round(time.Millisecond), cfg.Opts.RoundBudget)
-				completed = true
-				break
-			}
-		}
-		if growth >= prevGrowth-core.PaddingTol {
-			stalled++
-		} else {
-			stalled = 0
-		}
-		if stalled >= 2 {
-			out.Diverging = true
-			out.DivergeReason = fmt.Sprintf(
-				"padding growth not contracting for %d rounds (latest %.3gps/round)",
-				stalled, growth/units.Pico)
-			completed = true
-			break
-		}
-		prevGrowth = growth
-		r.saveCheckpoint(round, prevGrowth, stalled)
+			impacts, err = r.delayAll(ctx)
+			return impacts, err
+		},
+		AfterRound: r.saveCheckpoint,
 	}
-	if !completed {
-		out.Diverging = true
-		out.DivergeReason = fmt.Sprintf("padding still growing after %d rounds", maxRounds)
+	res, err := loop.Run(ctx, st)
+	if err != nil {
+		return nil, err
 	}
-
 	cols, err := r.collectAll(ctx)
 	if err != nil {
 		return nil, err
 	}
+	out := &Outcome{IterativeResult: *res, Resumed: resumed}
 	r.assemble(out, cols, impacts, iterations, converged)
-	r.closeAll()
 	if cfg.Checkpointer != nil {
 		if err := cfg.Checkpointer.Clear(cfg.Token); err != nil {
 			cfg.Logf("shard: checkpoint clear failed: %v", err)
@@ -350,7 +294,7 @@ func isFatal(err error) bool {
 // (timeouts, transport loss, injected faults) are retried Attempts times
 // before the caller declares the worker lost.
 func (r *run) tryWorker(ctx context.Context, wi, shard int, op string, req routed, resp any) error {
-	req.setRoute(r.cfg.Token, shard)
+	*req.route() = Route{Token: r.cfg.Token, Shard: shard}
 	var last error
 	for att := 0; att < r.cfg.Attempts; att++ {
 		if err := ctx.Err(); err != nil {
@@ -521,7 +465,7 @@ func (r *run) reinit(ctx context.Context, shard, wi int) error {
 	}
 	sort.Strings(restore)
 	for _, net := range restore {
-		req.Restore = append(req.Restore, NetComb{Net: net, Comb: combsToWire(r.combs[net])})
+		req.Restore = append(req.Restore, core.WaveUpdate{Net: net, Comb: r.combs[net]})
 	}
 	// The restore supersedes any queued boundary deltas.
 	r.pending[shard] = make(map[string]bool)
@@ -574,11 +518,11 @@ func (r *run) abandon(shard int, cause error) {
 		shard, len(r.asn.Owned[shard]), cause)
 }
 
-// takeBoundary drains the queued boundary updates for a shard into a wire
-// list (sorted for determinism). Entries are moved, not copied: the
+// takeBoundary drains the queued boundary updates for a shard into a
+// list sorted for determinism. Entries are moved, not copied: the
 // caller's request owns them across retries, and a re-host's restore
 // supersedes them anyway.
-func (r *run) takeBoundary(shard int) []NetComb {
+func (r *run) takeBoundary(shard int) []core.WaveUpdate {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.pending[shard]) == 0 {
@@ -589,9 +533,9 @@ func (r *run) takeBoundary(shard int) []NetComb {
 		nets = append(nets, net)
 	}
 	sort.Strings(nets)
-	out := make([]NetComb, 0, len(nets))
+	out := make([]core.WaveUpdate, 0, len(nets))
 	for _, net := range nets {
-		out = append(out, NetComb{Net: net, Comb: combsToWire(r.combs[net])})
+		out = append(out, core.WaveUpdate{Net: net, Comb: r.combs[net]})
 		delete(r.pending[shard], net)
 	}
 	return out
@@ -599,14 +543,14 @@ func (r *run) takeBoundary(shard int) []NetComb {
 
 // applyUpdates commits a shard's wave updates to the authoritative state
 // and queues them for every shard importing the changed nets.
-func (r *run) applyUpdates(shard int, ups []NetComb) {
+func (r *run) applyUpdates(shard int, ups []core.WaveUpdate) {
 	if len(ups) == 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, u := range ups {
-		r.combs[u.Net] = combsFromWire(u.Comb)
+		r.combs[u.Net] = u.Comb
 		for _, t := range r.importers[u.Net] {
 			if t != shard && r.hosts[t] >= 0 {
 				r.pending[t][u.Net] = true
@@ -616,17 +560,18 @@ func (r *run) applyUpdates(shard int, ups []NetComb) {
 	r.passChanged = true
 }
 
-// forEachShard runs fn concurrently over the given shards and returns the
-// first fatal error; errAbandoned results are tolerated (the shard was
-// degraded, the run goes on).
-func (r *run) forEachShard(shards []int, fn func(s int) error) error {
+// forEachShard runs fn concurrently over the given shards, passing each
+// shard's slot index in shards, and returns the first fatal error;
+// errAbandoned results are tolerated (the shard was degraded, the run
+// goes on).
+func (r *run) forEachShard(shards []int, fn func(i, s int) error) error {
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			errs[i] = fn(s)
+			errs[i] = fn(i, s)
 		}(i, s)
 	}
 	wg.Wait()
@@ -642,7 +587,7 @@ func (r *run) forEachShard(shards []int, fn func(s int) error) error {
 // padding (empty on a fresh run, the checkpoint's on resume).
 func (r *run) initAll(ctx context.Context) error {
 	r.setProgress(0)
-	return r.forEachShard(r.liveShards(), func(s int) error {
+	return r.forEachShard(r.liveShards(), func(_, s int) error {
 		wi := r.hostOf(s)
 		if wi < 0 {
 			return errAbandoned
@@ -669,8 +614,8 @@ func (r *run) applyRoundAll(ctx context.Context, changed []string) error {
 		entries[i] = PadEntry{Net: net, Pad: r.padding[net]}
 	}
 	r.mu.Unlock()
-	return r.forEachShard(r.liveShards(), func(s int) error {
-		return r.dispatch(ctx, s, OpRound, &RoundRequest{Shard: s, Changed: entries}, nil)
+	return r.forEachShard(r.liveShards(), func(_, s int) error {
+		return r.dispatch(ctx, s, OpRound, &RoundRequest{Changed: entries}, nil)
 	})
 }
 
@@ -723,8 +668,8 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 			shards = append(shards, s)
 		}
 	}
-	return r.forEachShard(shards, func(s int) error {
-		req := &EvalRequest{Seq: r.nextSeq(), Shard: s, Wave: wi, Boundary: r.takeBoundary(s)}
+	return r.forEachShard(shards, func(_, s int) error {
+		req := &EvalRequest{Seq: r.nextSeq(), Wave: wi, Boundary: r.takeBoundary(s)}
 		resp := &EvalResponse{}
 		if err := r.dispatch(ctx, s, OpEval, req, resp); err != nil {
 			return err
@@ -740,21 +685,12 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 func (r *run) delayAll(ctx context.Context) ([]core.DelayImpact, error) {
 	shards := r.liveShards()
 	per := make([][]core.DelayImpact, len(shards))
-	err := r.forEachShard(shards, func(s int) error {
+	err := r.forEachShard(shards, func(i, s int) error {
 		resp := &DelayResponse{}
-		if err := r.dispatch(ctx, s, OpDelay, &DelayRequest{Shard: s}, resp); err != nil {
+		if err := r.dispatch(ctx, s, OpDelay, &DelayRequest{}, resp); err != nil {
 			return err
 		}
-		ims := make([]core.DelayImpact, 0, len(resp.Impacts))
-		for _, iw := range resp.Impacts {
-			ims = append(ims, iw.impact())
-		}
-		for i, ss := range shards {
-			if ss == s {
-				per[i] = ims
-				break
-			}
-		}
+		per[i] = resp.Impacts
 		return nil
 	})
 	if err != nil {
@@ -769,13 +705,13 @@ func (r *run) delayAll(ctx context.Context) ([]core.DelayImpact, error) {
 }
 
 // collectAll gathers every live shard's slice of the final result.
-func (r *run) collectAll(ctx context.Context) (map[int]*CollectResponse, error) {
+func (r *run) collectAll(ctx context.Context) (map[int]*core.ShardCollect, error) {
 	shards := r.liveShards()
 	var mu sync.Mutex
-	cols := make(map[int]*CollectResponse, len(shards))
-	err := r.forEachShard(shards, func(s int) error {
-		resp := &CollectResponse{}
-		if err := r.dispatch(ctx, s, OpCollect, &CollectRequest{Shard: s}, resp); err != nil {
+	cols := make(map[int]*core.ShardCollect, len(shards))
+	err := r.forEachShard(shards, func(_, s int) error {
+		resp := &core.ShardCollect{}
+		if err := r.dispatch(ctx, s, OpCollect, &CollectRequest{}, resp); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -797,8 +733,7 @@ func (r *run) closeAll() {
 		if !r.workerAlive(wi) {
 			continue
 		}
-		req := &CloseRequest{Shard: -1}
-		req.setRoute(r.cfg.Token, -1)
+		req := &CloseRequest{Route{Token: r.cfg.Token, Shard: -1}}
 		if err := w.Do(ctx, OpClose, req, nil); err != nil {
 			r.cfg.Logf("shard: close on worker %s failed: %v", w.Name(), err)
 		}
@@ -812,7 +747,7 @@ func (r *run) closeAll() {
 // sequence checkViolations produces, which matters because that sort's
 // comparator is not total. Abandoned shards contribute synthesized
 // full-rail records and StageShard degradation diags instead.
-func (r *run) assemble(out *Outcome, cols map[int]*CollectResponse, impacts []core.DelayImpact, iterations int, converged bool) {
+func (r *run) assemble(out *Outcome, cols map[int]*core.ShardCollect, impacts []core.DelayImpact, iterations int, converged bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := append([]string(nil), r.plan.Order...)
@@ -846,21 +781,17 @@ func (r *run) assemble(out *Outcome, cols map[int]*CollectResponse, impacts []co
 			v:  make(map[string][]core.Violation),
 			sl: make(map[string][]core.ReceiverSlack),
 		}
-		for _, vw := range col.Violations {
-			v := vw.violation()
+		for _, v := range col.Violations {
 			g.v[v.Net] = append(g.v[v.Net], v)
 		}
-		for _, sw := range col.Slacks {
-			sl := sw.slack()
+		for _, sl := range col.Slacks {
 			g.sl[sl.Net] = append(g.sl[sl.Net], sl)
 		}
 		byShard[s] = g
-		for _, nw := range col.Nets {
-			noise.Nets[nw.Net] = nw.netNoise()
+		for net, nn := range col.Nets {
+			noise.Nets[net] = nn
 		}
-		for _, dw := range col.Diags {
-			diags = append(diags, dw.diag())
-		}
+		diags = append(diags, col.Diags...)
 	}
 	for s := range r.hosts {
 		if r.hosts[s] >= 0 {

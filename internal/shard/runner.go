@@ -54,10 +54,10 @@ type Runner struct {
 	broken  error
 	evalSeq int
 	// pending accumulates the committed combinations of the current eval
-	// Seq; evalDone marks the wave fully evaluated (a duplicate dispatch
-	// then replays the response without re-running).
-	pending  map[string][2]core.Combined
-	evalDone bool
+	// Seq; done holds the response once the wave is fully evaluated (a
+	// duplicate dispatch then replays it without re-running).
+	pending map[string][2]core.Combined
+	done    *EvalResponse
 }
 
 // NewRunner returns a runner that builds engines with build.
@@ -72,8 +72,8 @@ func (r *Runner) Init(ctx context.Context, req *InitRequest) error {
 	if err != nil {
 		return fatalUnlessCtx(err)
 	}
-	for _, nc := range req.Restore {
-		eng.SetComb(nc.Net, combsFromWire(nc.Comb))
+	for _, u := range req.Restore {
+		eng.SetComb(u.Net, u.Comb)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -81,7 +81,7 @@ func (r *Runner) Init(ctx context.Context, req *InitRequest) error {
 	r.broken = nil
 	r.evalSeq = 0
 	r.pending = nil
-	r.evalDone = false
+	r.done = nil
 	return nil
 }
 
@@ -107,14 +107,14 @@ func (r *Runner) Eval(ctx context.Context, req *EvalRequest) (*EvalResponse, err
 	}
 	if req.Seq != r.evalSeq {
 		r.evalSeq = req.Seq
-		r.pending = make(map[string][2]core.Combined)
-		r.evalDone = false
+		r.pending = nil
+		r.done = nil
 	}
-	if r.evalDone {
-		return r.evalResponse(), nil
+	if r.done != nil {
+		return r.done, nil
 	}
-	for _, nc := range req.Boundary {
-		eng.SetComb(nc.Net, combsFromWire(nc.Comb))
+	for _, u := range req.Boundary {
+		eng.SetComb(u.Net, u.Comb)
 	}
 	if r.pending == nil {
 		r.pending = make(map[string][2]core.Combined)
@@ -126,21 +126,16 @@ func (r *Runner) Eval(ctx context.Context, req *EvalRequest) (*EvalResponse, err
 	if err != nil {
 		return nil, fatalUnlessCtx(err)
 	}
-	r.evalDone = true
-	return r.evalResponse(), nil
-}
-
-func (r *Runner) evalResponse() *EvalResponse {
 	nets := make([]string, 0, len(r.pending))
 	for net := range r.pending {
 		nets = append(nets, net)
 	}
 	sort.Strings(nets)
-	resp := &EvalResponse{}
+	r.done = &EvalResponse{}
 	for _, net := range nets {
-		resp.Updates = append(resp.Updates, NetComb{Net: net, Comb: combsToWire(r.pending[net])})
+		r.done.Updates = append(r.done.Updates, core.WaveUpdate{Net: net, Comb: r.pending[net]})
 	}
-	return resp
+	return r.done, nil
 }
 
 // Round applies one round of padding growth. A failure marks the engine
@@ -166,7 +161,7 @@ func (r *Runner) Round(ctx context.Context, req *RoundRequest) error {
 	// A new round invalidates the eval memo (the coordinator also bumps
 	// Seq, this is belt and braces).
 	r.pending = nil
-	r.evalDone = false
+	r.done = nil
 	return nil
 }
 
@@ -182,48 +177,49 @@ func (r *Runner) Delay(ctx context.Context, req *DelayRequest) (*DelayResponse, 
 	if err != nil {
 		return nil, fatalUnlessCtx(err)
 	}
-	resp := &DelayResponse{}
-	for _, im := range ims {
-		resp.Impacts = append(resp.Impacts, impactToWire(im))
-	}
-	return resp, nil
+	return &DelayResponse{Impacts: ims}, nil
 }
 
 // Collect returns the shard's slice of the final result.
-func (r *Runner) Collect(ctx context.Context, req *CollectRequest) (*CollectResponse, error) {
+func (r *Runner) Collect(ctx context.Context, req *CollectRequest) (*core.ShardCollect, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	eng, err := r.engine()
 	if err != nil {
 		return nil, err
 	}
-	col, err := eng.Collect(ctx)
-	if err != nil {
-		return nil, err
+	return eng.Collect(ctx)
+}
+
+// Do runs one engine op — eval, round, delay, or collect, chosen by the
+// request's type — with its typed response (nil for round). The
+// in-process worker and the snad shard endpoint both dispatch through it.
+func (r *Runner) Do(ctx context.Context, req, resp any) error {
+	switch req := req.(type) {
+	case *EvalRequest:
+		out, err := r.Eval(ctx, req)
+		if err != nil {
+			return err
+		}
+		*resp.(*EvalResponse) = *out
+	case *RoundRequest:
+		return r.Round(ctx, req)
+	case *DelayRequest:
+		out, err := r.Delay(ctx, req)
+		if err != nil {
+			return err
+		}
+		*resp.(*DelayResponse) = *out
+	case *CollectRequest:
+		out, err := r.Collect(ctx, req)
+		if err != nil {
+			return err
+		}
+		*resp.(*core.ShardCollect) = *out
+	default:
+		return badRequestError("shard: %T is not an engine op request", req)
 	}
-	resp := &CollectResponse{
-		Pairs:      col.Pairs,
-		Filtered:   col.Filtered,
-		Propagated: col.Propagated,
-	}
-	nets := make([]string, 0, len(col.Nets))
-	for net := range col.Nets {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
-	for _, net := range nets {
-		resp.Nets = append(resp.Nets, netNoiseToWire(col.Nets[net]))
-	}
-	for _, v := range col.Violations {
-		resp.Violations = append(resp.Violations, violationToWire(v))
-	}
-	for _, s := range col.Slacks {
-		resp.Slacks = append(resp.Slacks, slackToWire(s))
-	}
-	for _, d := range col.Diags {
-		resp.Diags = append(resp.Diags, diagToWire(d))
-	}
-	return resp, nil
+	return nil
 }
 
 // Close drops the engine.
@@ -233,5 +229,5 @@ func (r *Runner) Close() {
 	r.eng = nil
 	r.broken = nil
 	r.pending = nil
-	r.evalDone = false
+	r.done = nil
 }

@@ -3,9 +3,11 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -444,5 +446,84 @@ func TestRunnerEvalMemo(t *testing.T) {
 	}
 	if len(fresh.Updates) != 0 {
 		t.Fatalf("fresh Seq at fixpoint committed %d updates, want 0", len(fresh.Updates))
+	}
+}
+
+// countingWorker counts the ops a coordinator sends a worker; hook, when
+// set, runs first and can fail the op.
+type countingWorker struct {
+	*InProc
+	hook func(op string) error
+
+	mu  sync.Mutex
+	ops map[string]int
+}
+
+func (w *countingWorker) Do(ctx context.Context, op string, req, resp any) error {
+	w.mu.Lock()
+	w.ops[op]++
+	w.mu.Unlock()
+	if w.hook != nil {
+		if err := w.hook(op); err != nil {
+			return err
+		}
+	}
+	return w.InProc.Do(ctx, op, req, resp)
+}
+
+// TestRunClosesOnEveryExit is the regression test for leaked worker
+// state: a run that ends in cancellation or a fatal analysis error must
+// still send close to every live worker, so no engine (and, on a snad
+// worker, no design-cache reference) outlives the run token.
+func TestRunClosesOnEveryExit(t *testing.T) {
+	mk := fixtures()["bus"]
+	b, opts := bindFixture(t, mk)
+	errFatal := errors.New("injected fatal delay")
+	for _, tc := range []struct {
+		name string
+		// fail is the hook error for an op, given the run's cancel.
+		fail func(cancel context.CancelFunc, op string) error
+		want error
+	}{
+		{"cancel mid-round", func(cancel context.CancelFunc, op string) error {
+			if op == OpRound {
+				cancel()
+			}
+			return nil
+		}, context.Canceled},
+		{"fatal delay", func(_ context.CancelFunc, op string) error {
+			if op == OpDelay {
+				return &FatalError{Err: errFatal}
+			}
+			return nil
+		}, errFatal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var workers []Worker
+			var counted []*countingWorker
+			for i := 0; i < 3; i++ {
+				w := &countingWorker{InProc: NewInProc(fmt.Sprintf("w%d", i), buildFrom(mk), opts), ops: map[string]int{}}
+				w.hook = func(op string) error { return tc.fail(cancel, op) }
+				workers = append(workers, w)
+				counted = append(counted, w)
+			}
+			out, err := Run(ctx, Config{B: b, Opts: opts, Workers: workers, Shards: 3, Token: "leak"})
+			if !errors.Is(err, tc.want) || out != nil {
+				t.Fatalf("Run = (%v, %v), want error %v", out, err, tc.want)
+			}
+			for _, w := range counted {
+				if w.ops[OpInit] == 0 {
+					t.Fatalf("worker %s never hosted a shard; the test does not reach mid-run", w.Name())
+				}
+				if w.ops[OpClose] != 1 {
+					t.Errorf("worker %s got %d close ops, want 1", w.Name(), w.ops[OpClose])
+				}
+				if n := len(w.runners); n != 0 {
+					t.Errorf("worker %s still hosts %d runners", w.Name(), n)
+				}
+			}
+		})
 	}
 }

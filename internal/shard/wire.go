@@ -5,6 +5,11 @@
 // snad daemons), and a coordinator that drives the global noise/delay
 // fixpoint across workers, exchanging boundary combinations wave by wave.
 //
+// Nothing here re-implements the analysis: the outer padding loop is
+// core.RoundLoop (the one AnalyzeIterative runs), a shard engine runs the
+// serial engine's own wave and dirty-set code, and the protocol carries
+// the core result types themselves.
+//
 // The contract: a healthy distributed run is byte-identical (at the report
 // JSON level) to the single-process core.AnalyzeIterative; a run that loses
 // workers reassigns their shards to survivors and, when a shard is
@@ -16,11 +21,9 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/interval"
 )
 
 // Protocol operations, in the order a run issues them. They double as the
@@ -49,283 +52,15 @@ type FatalError struct{ Err error }
 func (e *FatalError) Error() string { return e.Err.Error() }
 func (e *FatalError) Unwrap() error { return e.Err }
 
-// Float JSON round-trips are exact (encoding/json emits the shortest
-// representation that parses back to the same float64), so the wire forms
-// below preserve bit-identical results across the HTTP transport. The only
-// values float64 JSON cannot carry are NaN and the infinities; the wire
-// types encode those explicitly: a Combined's At is NaN when no events
-// combine (pointer, nil = NaN), and a Window distinguishes the empty
-// window (Lo > Hi) from infinite bounds (nil Lo = -Inf, nil Hi = +Inf).
-
-// WindowWire is the wire form of interval.Window.
-type WindowWire struct {
-	Empty bool     `json:"empty,omitempty"`
-	Lo    *float64 `json:"lo,omitempty"`
-	Hi    *float64 `json:"hi,omitempty"`
-}
-
-func windowToWire(w interval.Window) WindowWire {
-	if w.IsEmpty() {
-		return WindowWire{Empty: true}
-	}
-	var out WindowWire
-	if !math.IsInf(w.Lo, -1) {
-		lo := w.Lo
-		out.Lo = &lo
-	}
-	if !math.IsInf(w.Hi, 1) {
-		hi := w.Hi
-		out.Hi = &hi
-	}
-	return out
-}
-
-func (w WindowWire) window() interval.Window {
-	if w.Empty {
-		return interval.Empty()
-	}
-	lo, hi := math.Inf(-1), math.Inf(1)
-	if w.Lo != nil {
-		lo = *w.Lo
-	}
-	if w.Hi != nil {
-		hi = *w.Hi
-	}
-	return interval.Window{Lo: lo, Hi: hi}
-}
-
-func setToWire(s interval.Set) []WindowWire {
-	ws := s.Windows()
-	out := make([]WindowWire, len(ws))
-	for i, w := range ws {
-		out[i] = windowToWire(w)
-	}
-	return out
-}
-
-func setFromWire(ws []WindowWire) interval.Set {
-	wins := make([]interval.Window, len(ws))
-	for i, w := range ws {
-		wins[i] = w.window()
-	}
-	return interval.NewSet(wins...)
-}
-
-func floatToWire(v float64) *float64 {
-	if math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}
-
-func floatFromWire(v *float64) float64 {
-	if v == nil {
-		return math.NaN()
-	}
-	return *v
-}
-
-// EventWire is the wire form of core.Event.
-type EventWire struct {
-	Peak   float64    `json:"peak"`
-	Width  float64    `json:"width"`
-	Window WindowWire `json:"window"`
-	Source string     `json:"source"`
-}
-
-func eventToWire(e core.Event) EventWire {
-	return EventWire{Peak: e.Peak, Width: e.Width, Window: windowToWire(e.Window), Source: e.Source}
-}
-
-func (e EventWire) event() core.Event {
-	return core.Event{Peak: e.Peak, Width: e.Width, Window: e.Window.window(), Source: e.Source}
-}
-
-func eventsToWire(es []core.Event) []EventWire {
-	if es == nil {
-		return nil
-	}
-	out := make([]EventWire, len(es))
-	for i, e := range es {
-		out[i] = eventToWire(e)
-	}
-	return out
-}
-
-func eventsFromWire(es []EventWire) []core.Event {
-	if es == nil {
-		return nil
-	}
-	out := make([]core.Event, len(es))
-	for i, e := range es {
-		out[i] = e.event()
-	}
-	return out
-}
-
-// CombinedWire is the wire form of core.Combined, at full fidelity —
-// members and member events included, because the final report renders
-// them.
-type CombinedWire struct {
-	Peak         float64     `json:"peak"`
-	Width        float64     `json:"width"`
-	Window       WindowWire  `json:"window"`
-	At           *float64    `json:"at"`
-	Members      []string    `json:"members,omitempty"`
-	MemberEvents []EventWire `json:"member_events,omitempty"`
-}
-
-func combToWire(c core.Combined) CombinedWire {
-	return CombinedWire{
-		Peak:         c.Peak,
-		Width:        c.Width,
-		Window:       windowToWire(c.Window),
-		At:           floatToWire(c.At),
-		Members:      c.Members,
-		MemberEvents: eventsToWire(c.MemberEvents),
-	}
-}
-
-func (c CombinedWire) comb() core.Combined {
-	return core.Combined{
-		Peak:         c.Peak,
-		Width:        c.Width,
-		Window:       c.Window.window(),
-		At:           floatFromWire(c.At),
-		Members:      c.Members,
-		MemberEvents: eventsFromWire(c.MemberEvents),
-	}
-}
-
-func combsToWire(c [2]core.Combined) [2]CombinedWire {
-	return [2]CombinedWire{combToWire(c[0]), combToWire(c[1])}
-}
-
-func combsFromWire(c [2]CombinedWire) [2]core.Combined {
-	return [2]core.Combined{c[0].comb(), c[1].comb()}
-}
-
-// NetComb carries one net's committed combination — the boundary-exchange
-// and restore currency of the protocol.
-type NetComb struct {
-	Net  string          `json:"net"`
-	Comb [2]CombinedWire `json:"comb"`
-}
-
-// NetNoiseWire is a full per-net result (collect only).
-type NetNoiseWire struct {
-	Net    string          `json:"net"`
-	Events [2][]EventWire  `json:"events"`
-	Comb   [2]CombinedWire `json:"comb"`
-}
-
-func netNoiseToWire(nn *core.NetNoise) NetNoiseWire {
-	return NetNoiseWire{
-		Net:    nn.Net,
-		Events: [2][]EventWire{eventsToWire(nn.Events[0]), eventsToWire(nn.Events[1])},
-		Comb:   combsToWire(nn.Comb),
-	}
-}
-
-func (w NetNoiseWire) netNoise() *core.NetNoise {
-	return &core.NetNoise{
-		Net:    w.Net,
-		Events: [2][]core.Event{eventsFromWire(w.Events[0]), eventsFromWire(w.Events[1])},
-		Comb:   combsFromWire(w.Comb),
-	}
-}
-
-// ViolationWire is the wire form of core.Violation.
-type ViolationWire struct {
-	Net      string   `json:"net"`
-	Receiver string   `json:"receiver"`
-	Kind     int      `json:"kind"`
-	Peak     float64  `json:"peak"`
-	Width    float64  `json:"width"`
-	Limit    float64  `json:"limit"`
-	Slack    float64  `json:"slack"`
-	At       *float64 `json:"at"`
-	Members  []string `json:"members,omitempty"`
-}
-
-func violationToWire(v core.Violation) ViolationWire {
-	return ViolationWire{
-		Net: v.Net, Receiver: v.Receiver, Kind: int(v.Kind),
-		Peak: v.Peak, Width: v.Width, Limit: v.Limit, Slack: v.Slack,
-		At: floatToWire(v.At), Members: v.Members,
-	}
-}
-
-func (v ViolationWire) violation() core.Violation {
-	return core.Violation{
-		Net: v.Net, Receiver: v.Receiver, Kind: core.Kind(v.Kind),
-		Peak: v.Peak, Width: v.Width, Limit: v.Limit, Slack: v.Slack,
-		At: floatFromWire(v.At), Members: v.Members,
-	}
-}
-
-// SlackWire is the wire form of core.ReceiverSlack.
-type SlackWire struct {
-	Net      string  `json:"net"`
-	Receiver string  `json:"receiver"`
-	Kind     int     `json:"kind"`
-	Peak     float64 `json:"peak"`
-	Limit    float64 `json:"limit"`
-	Slack    float64 `json:"slack"`
-}
-
-func slackToWire(s core.ReceiverSlack) SlackWire {
-	return SlackWire{Net: s.Net, Receiver: s.Receiver, Kind: int(s.Kind), Peak: s.Peak, Limit: s.Limit, Slack: s.Slack}
-}
-
-func (s SlackWire) slack() core.ReceiverSlack {
-	return core.ReceiverSlack{Net: s.Net, Receiver: s.Receiver, Kind: core.Kind(s.Kind), Peak: s.Peak, Limit: s.Limit, Slack: s.Slack}
-}
-
-// ImpactWire is the wire form of core.DelayImpact.
-type ImpactWire struct {
-	Net          string       `json:"net"`
-	Rise         bool         `json:"rise"`
-	VictimWindow []WindowWire `json:"victim_window"`
-	NoisePeak    float64      `json:"noise_peak"`
-	Delta        float64      `json:"delta"`
-	At           *float64     `json:"at"`
-	Members      []string     `json:"members,omitempty"`
-}
-
-func impactToWire(im core.DelayImpact) ImpactWire {
-	return ImpactWire{
-		Net: im.Net, Rise: im.Rise, VictimWindow: setToWire(im.VictimWindow),
-		NoisePeak: im.NoisePeak, Delta: im.Delta, At: floatToWire(im.At), Members: im.Members,
-	}
-}
-
-func (im ImpactWire) impact() core.DelayImpact {
-	return core.DelayImpact{
-		Net: im.Net, Rise: im.Rise, VictimWindow: setFromWire(im.VictimWindow),
-		NoisePeak: im.NoisePeak, Delta: im.Delta, At: floatFromWire(im.At), Members: im.Members,
-	}
-}
-
-// DiagWire is the wire form of core.Diag; the error crosses as its message.
-type DiagWire struct {
-	Net      string `json:"net"`
-	Stage    string `json:"stage"`
-	Err      string `json:"err"`
-	Degraded bool   `json:"degraded"`
-}
-
-func diagToWire(d core.Diag) DiagWire {
-	msg := ""
-	if d.Err != nil {
-		msg = d.Err.Error()
-	}
-	return DiagWire{Net: d.Net, Stage: d.Stage, Err: msg, Degraded: d.Degraded}
-}
-
-func (d DiagWire) diag() core.Diag {
-	return core.Diag{Net: d.Net, Stage: d.Stage, Err: errors.New(d.Err), Degraded: d.Degraded}
-}
+// Requests and responses carry the core types directly: an in-process
+// worker passes them through untouched, and over HTTP they encode
+// themselves — the NaN alignment instants, infinite window bounds, and
+// diagnostic errors that plain JSON cannot carry have their own JSON
+// methods (core/json.go, interval/json.go), and every float round-trips
+// bit-identically. Committed combinations are therefore shared, not
+// copied, between engines and the coordinator; that is safe because a
+// Combined's Members and MemberEvents are freshly built by each
+// combination and never written after commit.
 
 // PadEntry is one net's absolute window padding, seconds.
 type PadEntry struct {
@@ -363,12 +98,11 @@ type DesignSpec struct {
 // authoritative combinations to restore (empty on the first init, the
 // coordinator's committed state on a mid-run rebuild).
 type InitRequest struct {
-	Token   string      `json:"token"`
-	Shard   int         `json:"shard"`
-	Owned   []string    `json:"owned"`
-	Padding []PadEntry  `json:"padding,omitempty"`
-	Restore []NetComb   `json:"restore,omitempty"`
-	Design  *DesignSpec `json:"design,omitempty"`
+	Route
+	Owned   []string          `json:"owned"`
+	Padding []PadEntry        `json:"padding,omitempty"`
+	Restore []core.WaveUpdate `json:"restore,omitempty"`
+	Design  *DesignSpec       `json:"design,omitempty"`
 }
 
 // EvalRequest evaluates the owned slice of one wave. Seq increases with
@@ -377,71 +111,58 @@ type InitRequest struct {
 // retried dispatch after a lost response exact. Boundary carries the fanin
 // combinations committed on other shards since this shard's last eval.
 type EvalRequest struct {
-	Token    string    `json:"token"`
-	Shard    int       `json:"shard"`
-	Seq      int       `json:"seq"`
-	Wave     int       `json:"wave"`
-	Boundary []NetComb `json:"boundary,omitempty"`
+	Route
+	Seq      int               `json:"seq"`
+	Wave     int               `json:"wave"`
+	Boundary []core.WaveUpdate `json:"boundary,omitempty"`
 }
 
 // EvalResponse lists the nets whose committed combination changed.
 type EvalResponse struct {
-	Updates []NetComb `json:"updates,omitempty"`
+	Updates []core.WaveUpdate `json:"updates,omitempty"`
 }
 
 // RoundRequest applies one round of padding growth (absolute values).
 type RoundRequest struct {
-	Token   string     `json:"token"`
-	Shard   int        `json:"shard"`
+	Route
 	Changed []PadEntry `json:"changed"`
 }
 
 // DelayRequest runs the delta-delay pass over the shard's owned nets.
 type DelayRequest struct {
-	Token string `json:"token"`
-	Shard int    `json:"shard"`
+	Route
 }
 
 // DelayResponse returns the shard's impacts in evaluation order.
 type DelayResponse struct {
-	Impacts []ImpactWire `json:"impacts,omitempty"`
+	Impacts []core.DelayImpact `json:"impacts,omitempty"`
 }
 
-// CollectRequest fetches the shard's slice of the final result.
+// CollectRequest fetches the shard's slice of the final result; the
+// response is a core.ShardCollect.
 type CollectRequest struct {
-	Token string `json:"token"`
-	Shard int    `json:"shard"`
-}
-
-// CollectResponse is the shard's final contribution: full per-net results,
-// canonical-order violations and slacks, diagnostics, and additive stats.
-type CollectResponse struct {
-	Nets       []NetNoiseWire  `json:"nets"`
-	Violations []ViolationWire `json:"violations,omitempty"`
-	Slacks     []SlackWire     `json:"slacks,omitempty"`
-	Diags      []DiagWire      `json:"diags,omitempty"`
-	Pairs      int             `json:"pairs"`
-	Filtered   int             `json:"filtered"`
-	Propagated int             `json:"propagated"`
+	Route
 }
 
 // CloseRequest drops one shard's engine (or, with Shard -1, every engine
 // of the token) on a worker. Best-effort cleanup.
 type CloseRequest struct {
+	Route
+}
+
+// Route addresses a request to one shard of one run; every request
+// embeds it (its fields encode inline as "token" and "shard").
+type Route struct {
 	Token string `json:"token"`
 	Shard int    `json:"shard"`
 }
 
-// routed is implemented by every request so the coordinator can stamp the
-// run token and shard id uniformly.
-type routed interface{ setRoute(token string, shard int) }
+func (r *Route) route() *Route { return r }
 
-func (r *InitRequest) setRoute(t string, s int)    { r.Token, r.Shard = t, s }
-func (r *EvalRequest) setRoute(t string, s int)    { r.Token, r.Shard = t, s }
-func (r *RoundRequest) setRoute(t string, s int)   { r.Token, r.Shard = t, s }
-func (r *DelayRequest) setRoute(t string, s int)   { r.Token, r.Shard = t, s }
-func (r *CollectRequest) setRoute(t string, s int) { r.Token, r.Shard = t, s }
-func (r *CloseRequest) setRoute(t string, s int)   { r.Token, r.Shard = t, s }
+// routed is implemented by every request through its Route, so the
+// coordinator stamps the run token and shard id uniformly and workers
+// find the shard a request targets.
+type routed interface{ route() *Route }
 
 func padEntries(padding map[string]float64) []PadEntry {
 	if len(padding) == 0 {

@@ -15,8 +15,8 @@ import (
 // two implementations are InProc (a goroutine sharing the coordinator's
 // bound design) and client.ShardWorker (a remote snad process reached over
 // HTTP). Do executes one protocol op: req and resp are the matching
-// *XxxRequest / *XxxResponse wire pairs (resp nil for ops without a
-// response body).
+// *XxxRequest / *XxxResponse pairs (*core.ShardCollect for collect, resp
+// nil for ops without a response body).
 type Worker interface {
 	// Name identifies the worker in logs, diags, and health tracking.
 	Name() string
@@ -111,90 +111,32 @@ func (w *InProc) runner(shard int, create bool) *Runner {
 
 // Do implements Worker by dispatching to the shard's runner.
 func (w *InProc) Do(ctx context.Context, op string, req, resp any) error {
-	switch op {
-	case OpInit:
-		r, ok := req.(*InitRequest)
-		if !ok {
-			return badRequestError("shard: init wants *InitRequest, got %T", req)
-		}
-		return w.runner(r.Shard, true).Init(ctx, r)
-	case OpEval:
-		r, ok := req.(*EvalRequest)
-		if !ok {
-			return badRequestError("shard: eval wants *EvalRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: eval on uninitialized shard %d", r.Shard)
-		}
-		out, err := runner.Eval(ctx, r)
-		if err != nil {
-			return err
-		}
-		*resp.(*EvalResponse) = *out
-		return nil
-	case OpRound:
-		r, ok := req.(*RoundRequest)
-		if !ok {
-			return badRequestError("shard: round wants *RoundRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: round on uninitialized shard %d", r.Shard)
-		}
-		return runner.Round(ctx, r)
-	case OpDelay:
-		r, ok := req.(*DelayRequest)
-		if !ok {
-			return badRequestError("shard: delay wants *DelayRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: delay on uninitialized shard %d", r.Shard)
-		}
-		out, err := runner.Delay(ctx, r)
-		if err != nil {
-			return err
-		}
-		*resp.(*DelayResponse) = *out
-		return nil
-	case OpCollect:
-		r, ok := req.(*CollectRequest)
-		if !ok {
-			return badRequestError("shard: collect wants *CollectRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: collect on uninitialized shard %d", r.Shard)
-		}
-		out, err := runner.Collect(ctx, r)
-		if err != nil {
-			return err
-		}
-		*resp.(*CollectResponse) = *out
-		return nil
-	case OpClose:
-		r, ok := req.(*CloseRequest)
-		if !ok {
-			return badRequestError("shard: close wants *CloseRequest, got %T", req)
-		}
+	switch req := req.(type) {
+	case *InitRequest:
+		return w.runner(req.Shard, true).Init(ctx, req)
+	case *CloseRequest:
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		if r.Shard < 0 {
+		if req.Shard < 0 {
 			for _, runner := range w.runners {
 				runner.Close()
 			}
 			w.runners = make(map[int]*Runner)
 			return nil
 		}
-		if runner := w.runners[r.Shard]; runner != nil {
+		if runner := w.runners[req.Shard]; runner != nil {
 			runner.Close()
-			delete(w.runners, r.Shard)
+			delete(w.runners, req.Shard)
 		}
 		return nil
-	default:
-		return badRequestError("shard: unknown op %q", op)
+	case routed:
+		runner := w.runner(req.route().Shard, false)
+		if runner == nil {
+			return badRequestError("shard: %s on uninitialized shard %d", op, req.route().Shard)
+		}
+		return runner.Do(ctx, req, resp)
 	}
+	return badRequestError("shard: %s request %T is not a protocol request", op, req)
 }
 
 // FaultyWorker wraps a Worker with a workload.WorkerFaults injector. It
